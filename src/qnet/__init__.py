@@ -1,8 +1,9 @@
 """qnet: a quantum-circuit netlist interpreter over term-list states.
 
 Circuits are linear lists of gate applications (X, Z, H, I, CN, M) over
-a declared number of qubits.  States are term lists pairing complex
-coefficients with basis-vector bit configurations.  Two scalar backends
+a declared number of qubits.  A state is the dense form of the paper's
+term list: one complex coefficient per basis vector, indexed by the
+basis vector's bit configuration read as a binary number.  Two scalar backends
 are provided: exact arithmetic over Q[sqrt(2)] (with exact sign tests
 and deferred normalization when a root leaves the field) and an
 approximate rational backend built on a bisection square root.

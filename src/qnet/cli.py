@@ -30,7 +30,7 @@ from .errors import (
 from .interpreter import RandomStream, parse_circuit, run_circuit, run_circuit_traced
 from .qstate import (
     QState,
-    bits_string,
+    basis_label,
     format_state,
     make_qubit,
     narrow_to_qubit,
@@ -51,7 +51,7 @@ from .scalar import (
 )
 from .teleport import (
     DEFAULT_INPUTS,
-    UNIT_HYPOTHESIS_TOL,
+    max_component_gap,
     teleport_protocol,
     verify_teleportation,
 )
@@ -175,12 +175,12 @@ def render_state(state: QState, emit: str, digits: int, sparse: bool) -> list[st
     tol = Fraction(1, 10 ** (digits + 2))
     amplitudes = physical_amplitudes(state, tol)
     lines = []
-    for term, (re, im) in zip(state.terms, amplitudes):
-        if sparse and not term.coeff:
+    for i, (c, (re, im)) in enumerate(zip(state.amps, amplitudes)):
+        if sparse and not c:
             continue
         lines.append(
             f"({format_fixed(re, digits)}, {format_fixed(im, digits)})"
-            f" | {bits_string(term.bits)}"
+            f" | {basis_label(i, state.nqubits)}"
         )
     return lines
 
@@ -223,12 +223,8 @@ def cmd_teleport(args) -> int:
     print(f"# qubit 2:  {format_cscalar(narrowed.coeff(0))} {format_cscalar(narrowed.coeff(1))}")
     print(f"# expected: {format_cscalar(expected.coeff(0))} {format_cscalar(expected.coeff(1))}")
     if isinstance(backend, ApproxBackend):
-        deviation = Fraction(0)
-        for got, want in zip(narrowed.coeffs(), expected.coeffs()):
-            deviation = max(
-                deviation, abs(got.re - want.re), abs(got.im - want.im)
-            )
-        passed = deviation <= max(backend.eps, UNIT_HYPOTHESIS_TOL)
+        deviation = max_component_gap(narrowed, expected)
+        passed = deviation <= backend.check_tol
         print(f"# max deviation: {format_fixed(deviation, 10)}")
     else:
         passed = narrowed == expected

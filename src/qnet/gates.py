@@ -1,66 +1,54 @@
 """The six gate operations: X, Z, H, I, CN, and the measurement gate M.
 
-Each gate maps a canonical state to a canonical state.  Gates never
-renormalize: the interpreter normalizes between successive gates, so the
-output of M in particular is left collapsed but unscaled.  All gates
-preserve scale_sq.
+Each gate maps a canonical state to a canonical state by permuting,
+negating, mixing or zeroing entries of its coefficient vector.  Gates
+never renormalize: the interpreter normalizes between successive gates,
+so the output of M in particular is left collapsed but unscaled.  All
+gates preserve scale_sq.
 
-Qubit index n lives at bit position (nqubits - 1 - n) of the basis index
-(qubit 0 is the leftmost, most significant bit).
+A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
+which also validates n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .qstate import QState, Term
+from .qstate import QState, qubit_mask
 from .scalar import CScalar
-
-
-def _bit_mask(state: QState, n: int) -> int:
-    if not 0 <= n < state.nqubits:
-        raise IndexError(f"qubit index {n} out of range for {state.nqubits} qubits")
-    return 1 << (state.nqubits - 1 - n)
-
-
-def _rebuild(state: QState, coeffs: list[CScalar]) -> QState:
-    terms = tuple(Term(c, t.bits) for c, t in zip(coeffs, state.terms))
-    return QState(state.nqubits, terms, state.scale_sq, state.backend)
 
 
 def gate_X(state: QState, n: int) -> QState:
     """Negation: flips qubit n in every term."""
-    mask = _bit_mask(state, n)
-    return _rebuild(state, [state.coeff(i ^ mask) for i in range(len(state.terms))])
+    mask = qubit_mask(state.nqubits, n)
+    amps = state.amps
+    return state.with_amps([amps[i ^ mask] for i in range(len(amps))])
 
 
 def gate_Z(state: QState, n: int) -> QState:
     """Phase flip: negates the coefficient wherever qubit n is |1>."""
-    mask = _bit_mask(state, n)
-    return _rebuild(
-        state,
-        [-c if i & mask else c for i, c in enumerate(state.coeffs())],
-    )
+    mask = qubit_mask(state.nqubits, n)
+    return state.with_amps([-c if i & mask else c for i, c in enumerate(state.amps)])
 
 
 def gate_H(state: QState, n: int) -> QState:
     """Hadamard: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on qubit n."""
-    mask = _bit_mask(state, n)
+    mask = qubit_mask(state.nqubits, n)
     root2 = state.backend.sqrt_two()
-    coeffs = state.coeffs()
-    out = list(coeffs)
-    for i in range(len(coeffs)):
+    amps = state.amps
+    out = list(amps)
+    for i in range(len(amps)):
         if i & mask:
             continue
-        lo, hi = coeffs[i], coeffs[i | mask]
+        lo, hi = amps[i], amps[i | mask]
         out[i] = (lo + hi) / root2
         out[i | mask] = (lo - hi) / root2
-    return _rebuild(state, out)
+    return state.with_amps(out)
 
 
 def gate_I(state: QState, n: int) -> QState:
     """Identity (the index is still validated)."""
-    _bit_mask(state, n)
+    qubit_mask(state.nqubits, n)
     return state
 
 
@@ -68,14 +56,11 @@ def gate_CN(state: QState, c: int, n: int) -> QState:
     """Controlled not: flips qubit n in the terms where qubit c is |1>."""
     if c == n:
         raise ValueError("CN control and target must differ")
-    cmask = _bit_mask(state, c)
-    nmask = _bit_mask(state, n)
-    return _rebuild(
-        state,
-        [
-            state.coeff(i ^ nmask) if i & cmask else state.coeff(i)
-            for i in range(len(state.terms))
-        ],
+    cmask = qubit_mask(state.nqubits, c)
+    nmask = qubit_mask(state.nqubits, n)
+    amps = state.amps
+    return state.with_amps(
+        [amps[i ^ nmask] if i & cmask else amps[i] for i in range(len(amps))]
     )
 
 
@@ -91,12 +76,12 @@ def gate_M(state: QState, n: int, r) -> QState:
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("random draw must lie in [0, 1]")
-    mask = _bit_mask(state, n)
+    mask = qubit_mask(state.nqubits, n)
     backend = state.backend
     zero_side = backend.zero
     total = backend.zero
-    for i, term in enumerate(state.terms):
-        nsq = term.coeff.norm_sq()
+    for i, c in enumerate(state.amps):
+        nsq = c.norm_sq()
         total = total + nsq
         if not i & mask:
             zero_side = zero_side + nsq
@@ -106,10 +91,6 @@ def gate_M(state: QState, n: int, r) -> QState:
     p0 = zero_side / total
     outcome = backend.sign(p0 - r) <= 0
     zero = CScalar(backend.zero, backend.zero)
-    return _rebuild(
-        state,
-        [
-            c if bool(i & mask) == outcome else zero
-            for i, c in enumerate(state.coeffs())
-        ],
+    return state.with_amps(
+        [c if bool(i & mask) == outcome else zero for i, c in enumerate(state.amps)]
     )

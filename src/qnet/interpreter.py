@@ -163,18 +163,11 @@ def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
 
 
 def _apply(gate: Gate, state: QState, rs: RandomStream) -> tuple[QState, Fraction | None]:
-    if gate.kind == "X":
-        return _gates.gate_X(state, gate.operands[0]), None
-    if gate.kind == "Z":
-        return _gates.gate_Z(state, gate.operands[0]), None
-    if gate.kind == "H":
-        return _gates.gate_H(state, gate.operands[0]), None
-    if gate.kind == "I":
-        return _gates.gate_I(state, gate.operands[0]), None
-    if gate.kind == "CN":
-        return _gates.gate_CN(state, gate.operands[0], gate.operands[1]), None
-    draw = rs.draw()
-    return _gates.gate_M(state, gate.operands[0], draw), draw
+    # looked up per call, so a rebinding of gates.gate_<kind> takes effect
+    if gate.kind == "M":
+        draw = rs.draw()
+        return _gates.gate_M(state, gate.operands[0], draw), draw
+    return getattr(_gates, "gate_" + gate.kind)(state, *gate.operands), None
 
 
 def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):

@@ -1,16 +1,19 @@
-"""Term-list quantum states.
+"""Quantum states as coefficient vectors.
 
-A state over n qubits is a sequence of terms, each pairing a complex
-coefficient with one classical bit configuration (qubit 0 is the leftmost
-bit).  The canonical form keeps exactly 2^n terms, one per basis vector,
-in ascending bit-vector order.
+A state over n qubits is the paper's term list in dense canonical form:
+one complex coefficient per basis vector, stored in ``amps`` in
+basis-index order.  Basis index i stands for the bit configuration that
+is the n-bit binary expansion of i, qubit 0 being the most significant
+(leftmost) bit; ``qubit_mask`` is the one place that rule is written
+down, and bit configurations exist only where the text grammar needs
+them, when a state file is parsed and when a state is rendered.
 
 States additionally carry ``scale_sq``, an exact squared scale factor:
-the physical amplitude of a term is coeff / sqrt(scale_sq).  In the exact
-backend this defers normalization whenever sqrt(norm^2) falls outside
-Q[sqrt(2)], keeping every probability and comparison exact; the deferred
-root only has to be surfaced when an actual amplitude is printed or
-extracted.
+the physical amplitude at index i is amps[i] / sqrt(scale_sq).  In the
+exact backend this defers normalization whenever sqrt(norm^2) falls
+outside Q[sqrt(2)], keeping every probability and comparison exact; the
+deferred root only has to be surfaced when an actual amplitude is
+printed or extracted.
 """
 
 from __future__ import annotations
@@ -35,25 +38,42 @@ from .scalar import (
     parse_cscalar,
 )
 
-# Dense canonical form: 2^n terms per state.  Raise at your own risk.
+# Dense coefficient vector: 2^n amplitudes per state.  Raise at your own risk.
 MAX_QUBITS = 16
 
 
+def _check_width(nqubits: int) -> None:
+    if not 1 <= nqubits <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
+
+
+def qubit_mask(nqubits: int, n: int) -> int:
+    """The bit of a basis index that holds qubit n (qubit 0 most significant)."""
+    if not 0 <= n < nqubits:
+        raise IndexError(f"qubit index {n} out of range for {nqubits} qubits")
+    return 1 << (nqubits - 1 - n)
+
+
 def index_to_bits(index: int, nqubits: int) -> tuple[bool, ...]:
-    """Bit configuration of a basis index, qubit 0 most significant."""
-    return tuple(bool((index >> (nqubits - 1 - q)) & 1) for q in range(nqubits))
+    """Bit configuration of a basis index, one boolean per qubit."""
+    return tuple(bool(index & qubit_mask(nqubits, q)) for q in range(nqubits))
 
 
 def bits_to_index(bits: Sequence[bool]) -> int:
-    index = 0
-    for bit in bits:
-        index = (index << 1) | int(bit)
-    return index
+    return sum(qubit_mask(len(bits), q) for q, bit in enumerate(bits) if bit)
+
+
+def basis_label(index: int, nqubits: int) -> str:
+    """The bitstring of a basis index as the state grammar writes it."""
+    return "".join("1" if b else "0" for b in index_to_bits(index, nqubits))
 
 
 @dataclass(frozen=True)
 class Term:
-    """One basis-vector entry: a complex coefficient plus one boolean per qubit."""
+    """One term-list entry: a complex coefficient plus one boolean per qubit.
+
+    The input type of ``sort_and_merge``; states do not store terms.
+    """
 
     coeff: CScalar
     bits: tuple[bool, ...]
@@ -61,26 +81,36 @@ class Term:
 
 @dataclass(frozen=True, eq=False)
 class QState:
-    """Canonical term-list state (one term per basis vector, ascending)."""
+    """Canonical state: ``amps[i]`` is the coefficient of basis index i."""
 
     nqubits: int
-    terms: tuple[Term, ...]
+    amps: tuple[CScalar, ...]
     scale_sq: Scalar
     backend: Backend = EXACT
 
     def __post_init__(self):
-        if not 1 <= self.nqubits <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
-        if len(self.terms) != 1 << self.nqubits:
-            raise ValueError("canonical state needs one term per basis vector")
+        _check_width(self.nqubits)
+        if len(self.amps) != 1 << self.nqubits:
+            raise ValueError("canonical state needs one coefficient per basis vector")
         if self.backend.sign(self.scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
 
+    def with_amps(self, amps: Iterable[CScalar]) -> "QState":
+        """The same width, scale and backend over new coefficients."""
+        return QState(self.nqubits, tuple(amps), self.scale_sq, self.backend)
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The coefficients as a term list, one term per basis vector."""
+        return tuple(
+            Term(c, index_to_bits(i, self.nqubits)) for i, c in enumerate(self.amps)
+        )
+
     def coeff(self, index: int) -> CScalar:
-        return self.terms[index].coeff
+        return self.amps[index]
 
     def coeffs(self) -> list[CScalar]:
-        return [t.coeff for t in self.terms]
+        return list(self.amps)
 
     def __eq__(self, other) -> bool:
         """Exact coefficient-wise equality of fully normalized states.
@@ -98,55 +128,43 @@ class QState:
             raise NotRepresentableError(
                 "state equality is defined only for scale_sq = 1"
             )
-        return all(a.coeff == b.coeff for a, b in zip(self.terms, other.terms))
+        return self.amps == other.amps
 
     def __repr__(self) -> str:
         nonzero = [
-            f"{format_cscalar(t.coeff)}|{bits_string(t.bits)}>"
-            for t in self.terms
-            if t.coeff
+            f"{format_cscalar(c)}|{basis_label(i, self.nqubits)}>"
+            for i, c in enumerate(self.amps)
+            if c
         ]
         return f"QState({' + '.join(nonzero) or '0'}, scale_sq={self.scale_sq!s})"
-
-
-def bits_string(bits: Sequence[bool]) -> str:
-    return "".join("1" if b else "0" for b in bits)
 
 
 def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT) -> QState:
     """Canonicalize an arbitrary term list.
 
     Coefficients of duplicate basis vectors are summed, missing basis
-    vectors get explicit zero entries, and the result is sorted by
-    bit-vector value; scale_sq starts at 1.
+    vectors get explicit zero entries, and the result is in basis-index
+    order; scale_sq starts at 1.
     """
-    if not 1 <= nqubits <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
+    _check_width(nqubits)
     zero = CScalar(backend.zero, backend.zero)
-    coeffs = [zero] * (1 << nqubits)
+    amps = [zero] * (1 << nqubits)
     for term in terms:
         if len(term.bits) != nqubits:
             raise ParseError(
                 f"term has {len(term.bits)} bits, expected {nqubits}"
             )
         index = bits_to_index(term.bits)
-        coeffs[index] = coeffs[index] + term.coeff
-    canonical = tuple(
-        Term(c, index_to_bits(i, nqubits)) for i, c in enumerate(coeffs)
-    )
-    return QState(nqubits, canonical, backend.one, backend)
+        amps[index] = amps[index] + term.coeff
+    return QState(nqubits, tuple(amps), backend.one, backend)
 
 
 def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
     total = state.backend.zero
-    for term in state.terms:
-        total = total + term.coeff.norm_sq()
+    for c in state.amps:
+        total = total + c.norm_sq()
     return total
-
-
-def is_unit(state: QState) -> bool:
-    return norm_sq(state) == state.scale_sq
 
 
 def normalize(state: QState) -> QState:
@@ -159,13 +177,13 @@ def normalize(state: QState) -> QState:
     coefficients are divided by iter_sqrt of the squared norm.
     """
     nsq = norm_sq(state)
-    if state.backend.sign(nsq) == 0:
+    backend = state.backend
+    if backend.sign(nsq) == 0:
         raise ValueError("cannot normalize the zero state")
-    root = state.backend.sqrt(nsq)
+    root = backend.sqrt(nsq)
     if root is None:
-        return QState(state.nqubits, state.terms, nsq, state.backend)
-    terms = tuple(Term(t.coeff / root, t.bits) for t in state.terms)
-    return QState(state.nqubits, terms, state.backend.one, state.backend)
+        return QState(state.nqubits, state.amps, nsq, backend)
+    return QState(state.nqubits, tuple(c / root for c in state.amps), backend.one, backend)
 
 
 def tensor_product(a: QState, b: QState) -> QState:
@@ -173,14 +191,9 @@ def tensor_product(a: QState, b: QState) -> QState:
     if a.backend != b.backend:
         raise ValueError("cannot tensor states from different backends")
     nqubits = a.nqubits + b.nqubits
-    if nqubits > MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
-    terms = tuple(
-        Term(ta.coeff * tb.coeff, ta.bits + tb.bits)
-        for ta in a.terms
-        for tb in b.terms
-    )
-    return QState(nqubits, terms, a.scale_sq * b.scale_sq, a.backend)
+    _check_width(nqubits)
+    amps = tuple(x * y for x in a.amps for y in b.amps)
+    return QState(nqubits, amps, a.scale_sq * b.scale_sq, a.backend)
 
 
 def make_qubit(alpha: CScalar, beta: CScalar, backend: Backend = EXACT) -> QState:
@@ -189,39 +202,26 @@ def make_qubit(alpha: CScalar, beta: CScalar, backend: Backend = EXACT) -> QStat
     beta = backend.cscalar(beta)
     if not alpha and not beta:
         raise ValueError("qubit coefficients must not both be zero")
-    terms = (Term(alpha, (False,)), Term(beta, (True,)))
-    return QState(1, terms, backend.one, backend)
+    return QState(1, (alpha, beta), backend.one, backend)
 
 
 def zero_qstate(nqubits: int, backend: Backend = EXACT) -> QState:
     """n-qubit state |0...0>."""
-    if nqubits < 1:
-        raise ValueError("qubit count must be >= 1")
+    _check_width(nqubits)
     one = CScalar(backend.one, backend.zero)
     zero = CScalar(backend.zero, backend.zero)
-    terms = tuple(
-        Term(one if i == 0 else zero, index_to_bits(i, nqubits))
-        for i in range(1 << nqubits)
-    )
-    return QState(nqubits, terms, backend.one, backend)
+    return QState(nqubits, (one,) + (zero,) * ((1 << nqubits) - 1), backend.one, backend)
 
 
 def get_deterministic_qubit(state: QState, n: int) -> bool:
     """The single value qubit n takes across all nonzero terms."""
-    if not 0 <= n < state.nqubits:
-        raise IndexError(f"qubit index {n} out of range")
-    value: bool | None = None
-    for term in state.terms:
-        if term.coeff:
-            if value is None:
-                value = term.bits[n]
-            elif term.bits[n] != value:
-                raise NotDeterministicError(
-                    f"qubit {n} occurs with both values"
-                )
-    if value is None:
+    mask = qubit_mask(state.nqubits, n)
+    values = {bool(i & mask) for i, c in enumerate(state.amps) if c}
+    if not values:
         raise ValueError("zero state has no deterministic qubits")
-    return value
+    if len(values) > 1:
+        raise NotDeterministicError(f"qubit {n} occurs with both values")
+    return values.pop()
 
 
 def narrow_to_qubit(state: QState, n: int) -> QState:
@@ -230,27 +230,22 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
     The coefficients are viewed as a matrix over (other-qubit
     configuration, qubit-n value); the state is separable in qubit n iff
     that matrix has rank 1, checked exactly by cross-multiplying every
-    row against the first nonzero row x*.  The result inherits the phase
+    nonzero row against the first one, x*.  The result inherits the phase
     of row x* and is scaled by the root of its squared norm, which in the
     exact backend must exist in-field.
     """
-    if not 0 <= n < state.nqubits:
-        raise IndexError(f"qubit index {n} out of range")
-    pos = state.nqubits - 1 - n
-
-    def cell(row: int, value: int) -> CScalar:
-        index = ((row >> pos) << (pos + 1)) | (value << pos) | (row & ((1 << pos) - 1))
-        return state.terms[index].coeff
-
-    rows = 1 << (state.nqubits - 1)
-    anchor = next(
-        (x for x in range(rows) if cell(x, 0) or cell(x, 1)), None
-    )
-    if anchor is None:
+    mask = qubit_mask(state.nqubits, n)
+    amps = state.amps
+    rows = [
+        (amps[i], amps[i | mask])
+        for i in range(len(amps))
+        if not i & mask and (amps[i] or amps[i | mask])
+    ]
+    if not rows:
         raise ValueError("zero state has no qubit substates")
-    a0, a1 = cell(anchor, 0), cell(anchor, 1)
-    for x in range(anchor + 1, rows):
-        if cell(x, 0) * a1 != cell(x, 1) * a0:
+    a0, a1 = rows[0]
+    for x0, x1 in rows[1:]:
+        if x0 * a1 != x1 * a0:
             raise EntangledError(
                 f"qubit {n} is entangled with the rest of the state"
             )
@@ -313,9 +308,9 @@ def format_state(state: QState, sparse: bool = False) -> list[str]:
             "amplitudes have a deferred scale and no exact rendering"
         )
     return [
-        f"{format_cscalar(t.coeff)} | {bits_string(t.bits)}"
-        for t in state.terms
-        if t.coeff or not sparse
+        f"{format_cscalar(c)} | {basis_label(i, state.nqubits)}"
+        for i, c in enumerate(state.amps)
+        if c or not sparse
     ]
 
 
@@ -325,10 +320,10 @@ def physical_amplitudes(state: QState, tol) -> list[tuple[Fraction, Fraction]]:
     guard = tol / 8
     parts = [
         (
-            state.backend.as_fraction(t.coeff.re, guard),
-            state.backend.as_fraction(t.coeff.im, guard),
+            state.backend.as_fraction(c.re, guard),
+            state.backend.as_fraction(c.im, guard),
         )
-        for t in state.terms
+        for c in state.amps
     ]
     if state.scale_sq == state.backend.one:
         return parts

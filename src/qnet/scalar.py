@@ -79,6 +79,9 @@ class QExt:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
+        # a rational element equals its Fraction, so it must hash like one
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b))
 
     def __bool__(self) -> bool:
@@ -374,6 +377,12 @@ def format_fixed(x, digits: int) -> str:
 
 # --- the backend contract ---------------------------------------------------
 
+# Slack for checks against ideal amplitudes under the approximate backend:
+# the whole point of that backend is running rational stand-ins for ideal
+# amplitudes (e.g. 131072/185363 for 1/sqrt(2), off by ~9e-6), so the
+# check cannot be as tight as eps.
+UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
+
 
 @dataclass(frozen=True)
 class ExactBackend:
@@ -455,6 +464,11 @@ class ApproxBackend:
 
     def as_fraction(self, x: Fraction, tol) -> Fraction:
         return x
+
+    @property
+    def check_tol(self) -> Fraction:
+        """How far an amplitude may stray from its ideal value in a check."""
+        return max(self.eps, UNIT_HYPOTHESIS_TOL)
 
     def cscalar(self, z: CScalar) -> CScalar:
         if isinstance(z.re, Fraction):

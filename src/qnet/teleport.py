@@ -15,11 +15,9 @@ from fractions import Fraction
 from .interpreter import Circuit, Gate, RandomStream, run_circuit
 from .qstate import (
     QState,
-    Term,
     get_deterministic_qubit,
     make_qubit,
     narrow_to_qubit,
-    sort_and_merge,
     tensor_product,
     zero_qstate,
 )
@@ -54,13 +52,6 @@ BRANCH_DRAWS = (
     (Fraction(3, 4), Fraction(3, 4)),
 )
 
-# Slack for the unit-norm hypothesis under the approximate backend: the
-# whole point of that backend is running rational stand-ins for ideal
-# amplitudes (e.g. 131072/185363 for 1/sqrt(2), off by ~9e-6), so the
-# check cannot be as tight as eps.
-UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
-
-
 @dataclass(frozen=True)
 class AliceResult:
     """Alice's post-measurement 3-qubit state plus her two classical bits."""
@@ -73,8 +64,7 @@ class AliceResult:
 def _check_unit_hypothesis(alpha: CScalar, beta: CScalar, backend: Backend) -> None:
     total = alpha.norm_sq() + beta.norm_sq()
     if isinstance(backend, ApproxBackend):
-        slack = max(backend.eps, UNIT_HYPOTHESIS_TOL)
-        if abs(total - 1) > slack:
+        if abs(total - 1) > backend.check_tol:
             raise ValueError("input qubit is not unit within tolerance")
     elif total != QExt(1):
         raise ValueError("input qubit must satisfy |alpha|^2 + |beta|^2 = 1")
@@ -166,23 +156,18 @@ def _expected_alice_state(
     """
     if m0:
         return None
-    if not m1:
-        terms = [
-            Term(alpha, (False, False, False)),
-            Term(beta, (False, False, True)),
-        ]
-    else:
-        terms = [
-            Term(beta, (False, True, False)),
-            Term(alpha, (False, True, True)),
-        ]
-    return sort_and_merge(terms, 3, backend)
+    one = CScalar(backend.one, backend.zero)
+    zero = CScalar(backend.zero, backend.zero)
+    m1_ket = make_qubit(zero, one, backend) if m1 else make_qubit(one, zero, backend)
+    payload = make_qubit(beta, alpha, backend) if m1 else make_qubit(alpha, beta, backend)
+    return tensor_product(tensor_product(zero_qstate(1, backend), m1_ket), payload)
 
 
-def _max_component_gap(a: QState, b: QState) -> Fraction:
+def max_component_gap(a: QState, b: QState) -> Fraction:
+    """Largest difference between matching real or imaginary parts."""
     gap = Fraction(0)
-    for ta, tb in zip(a.terms, b.terms):
-        gap = max(gap, abs(ta.coeff.re - tb.coeff.re), abs(ta.coeff.im - tb.coeff.im))
+    for x, y in zip(a.amps, b.amps):
+        gap = max(gap, abs(x.re - y.re), abs(x.im - y.im))
     return gap
 
 
@@ -198,7 +183,7 @@ def verify_teleportation(
     the detail) in the approximate one.
     """
     approx = isinstance(backend, ApproxBackend)
-    tol = max(backend.eps, UNIT_HYPOTHESIS_TOL) if approx else None
+    tol = backend.check_tol if approx else None
     cases: list[TeleportCase] = []
     index = 0
     for alpha, beta in inputs:
@@ -218,7 +203,7 @@ def verify_teleportation(
             )
             if expected_state is not None:
                 if approx:
-                    gap = _max_component_gap(alice.state, expected_state)
+                    gap = max_component_gap(alice.state, expected_state)
                     if gap > tol:
                         problems.append(f"alice state off by {float(gap):.3g}")
                 elif alice.state != expected_state:
@@ -227,7 +212,7 @@ def verify_teleportation(
             narrowed = narrow_to_qubit(final, 2)
             expected_qubit = make_qubit(alpha, beta, backend)
             if approx:
-                gap = _max_component_gap(narrowed, expected_qubit)
+                gap = max_component_gap(narrowed, expected_qubit)
                 detail = f"qubit 2 within {float(gap):.3g} of input (tol {float(tol):.3g})"
                 if gap > tol:
                     problems.append(f"qubit 2 off by {float(gap):.3g}")

@@ -1,6 +1,9 @@
+import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +344,28 @@ def test_module_entry_point(bell_circuit):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["(1/2*s2, 0) | 00", "(1/2*s2, 0) | 11"]
+
+
+def test_too_wide_zero_state_fails_fast(tmp_path):
+    # a separate process under a memory cap, so a width check that came
+    # after the allocation fails this test instead of exhausting memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    circuit = tmp_path / "wide.qc"
+    circuit.write_text("qubits 40\nX 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qnet", "run", "--circuit", str(circuit),
+         "--state", "zero:40"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "qubit count must be in 1..16" in proc.stderr

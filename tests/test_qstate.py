@@ -24,7 +24,14 @@ from qnet.errors import (
     NotRepresentableError,
     ParseError,
 )
-from qnet.qstate import QState, bits_to_index, index_to_bits, physical_amplitudes
+from qnet.qstate import (
+    MAX_QUBITS,
+    QState,
+    bits_to_index,
+    index_to_bits,
+    physical_amplitudes,
+    qubit_mask,
+)
 from qnet.scalar import ApproxBackend
 
 from support import (
@@ -416,3 +423,46 @@ class TestPhysicalAmplitudes:
         assert abs(float(amps[0][0]) - 1 / 3**0.5) < 1e-7
         rendered = state_to_complex(deferred)
         assert abs(rendered[0] - complex(float(amps[0][0]), 0)) < 1e-7
+
+
+class TestCoefficientVector:
+    def test_amps_are_in_basis_index_order(self):
+        state = parse_state("(2, 0) | 10\n(1, 0) | 01\n")
+        assert state.amps == (ZERO, ONE, CScalar(QExt(2)), ZERO)
+        assert state.coeffs() == list(state.amps)
+
+    def test_terms_view_round_trips(self):
+        rng = random.Random(41)
+        for nqubits in (1, 2, 3, 4):
+            state = rand_state(rng, nqubits)
+            terms = state.terms
+            assert [t.bits for t in terms] == [
+                index_to_bits(i, nqubits) for i in range(1 << nqubits)
+            ]
+            assert [t.coeff for t in terms] == list(state.amps)
+            assert sort_and_merge(terms, nqubits) == state
+
+    def test_qubit_mask_is_the_index_to_bits_rule(self):
+        for nqubits in range(1, 5):
+            for index in range(1 << nqubits):
+                bits = index_to_bits(index, nqubits)
+                assert bits_to_index(bits) == index
+                for q in range(nqubits):
+                    assert bool(index & qubit_mask(nqubits, q)) == bits[q]
+
+    def test_qubit_mask_validates_the_index(self):
+        for bad in (-1, 3, 40):
+            with pytest.raises(IndexError):
+                qubit_mask(3, bad)
+
+    def test_vector_length_must_match_width(self):
+        with pytest.raises(ValueError):
+            QState(2, (ONE, ZERO, ZERO), QExt(1))
+
+    def test_width_is_refused_before_allocating(self):
+        for nqubits in (MAX_QUBITS + 1, 40, 64):
+            with pytest.raises(ValueError):
+                zero_qstate(nqubits)
+        wide = zero_qstate(MAX_QUBITS // 2 + 1)
+        with pytest.raises(ValueError):
+            tensor_product(wide, wide)

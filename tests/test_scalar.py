@@ -288,3 +288,21 @@ class TestBackends:
     def test_approx_requires_positive_eps(self):
         with pytest.raises(ValueError):
             ApproxBackend(0)
+
+
+class TestQExtHash:
+    def test_rational_elements_hash_like_their_value(self):
+        assert len({QExt(1), 1}) == 1
+        assert len({QExt(F(1, 2)), F(1, 2)}) == 1
+        rng = random.Random(31)
+        for _ in range(200):
+            q = rand_fraction(rng)
+            assert QExt(q) == q
+            assert hash(QExt(q)) == hash(q)
+
+    def test_equal_elements_hash_equal(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            x = rand_qext(rng)
+            assert hash(QExt(x.a, x.b)) == hash(x)
+        assert len({QExt(1, 1), QExt(1, 1), QExt(1, -1)}) == 2
