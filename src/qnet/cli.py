@@ -16,8 +16,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -43,7 +43,6 @@ from .scalar import (
     EXACT,
     ApproxBackend,
     Backend,
-    CScalar,
     format_cscalar,
     format_fixed,
     parse_cscalar,
@@ -63,20 +62,9 @@ EXIT_STREAM = 4
 EXIT_FAIL = 5
 
 DEFAULT_EPS = Fraction(1, 10**12)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    circuit_path: str
-    state_spec: str
-    randoms: str | None
-    randoms_file: str | None
-    backend: Backend
-    emit: str
-    digits: int
-    trace: bool
-    sparse_output: bool
-    qubits: int | None
+# Python's default limit on int-to-str conversion (sys.int_info.
+# default_max_str_digits): format_fixed cannot print more decimal places.
+MAX_DIGITS = 4300
 
 
 def _backend_from_args(args) -> Backend:
@@ -90,51 +78,12 @@ def _backend_from_args(args) -> Backend:
     return ApproxBackend(eps)
 
 
-def _run_config(args) -> RunConfig:
-    if args.emit == "exact" and args.digits is not None:
-        raise ParseError("--digits applies only to --emit decimal")
-    digits = args.digits if args.digits is not None else 6
-    if digits < 1:
-        raise ParseError("--digits must be >= 1")
-    return RunConfig(
-        circuit_path=args.circuit,
-        state_spec=args.state,
-        randoms=args.randoms,
-        randoms_file=args.randoms_file,
-        backend=_backend_from_args(args),
-        emit=args.emit,
-        digits=digits,
-        trace=args.command == "trace",
-        sparse_output=args.sparse_output,
-        qubits=args.qubits,
-    )
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
 
 
 def _initial_state(spec: str, backend: Backend) -> QState:
@@ -144,7 +93,7 @@ def _initial_state(spec: str, backend: Backend) -> QState:
             raise ParseError(f"bad initial state {spec!r}")
         return zero_qstate(int(count), backend)
     if spec.startswith("qubit:"):
-        parts = _split_top_level(spec[len("qubit:") :])
+        parts = re.split(r"(?<=\))\s*,", spec[len("qubit:") :])
         if len(parts) != 2:
             raise ParseError(f"bad initial state {spec!r}: expected two cplx literals")
         alpha = backend.cscalar(parse_cscalar(parts[0]))
@@ -153,20 +102,16 @@ def _initial_state(spec: str, backend: Backend) -> QState:
     return parse_state(_read(spec), backend)
 
 
-def _random_stream(cfg: RunConfig) -> RandomStream:
-    if cfg.randoms is not None and cfg.randoms_file is not None:
+def _random_stream(args) -> RandomStream:
+    if args.randoms is not None and args.randoms_file is not None:
         raise ParseError("--randoms and --randoms-file are mutually exclusive")
-    if cfg.randoms is not None:
-        pieces = [p for p in cfg.randoms.split(",") if p.strip()]
-        return RandomStream(parse_rational(p) for p in pieces)
-    if cfg.randoms_file is not None:
-        draws = []
-        for raw in _read(cfg.randoms_file).splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                draws.append(parse_rational(line))
-        return RandomStream(draws)
-    return RandomStream(())
+    if args.randoms is not None:
+        pieces = args.randoms.split(",")
+    elif args.randoms_file is not None:
+        pieces = [raw.split("#", 1)[0] for raw in _read(args.randoms_file).splitlines()]
+    else:
+        pieces = []
+    return RandomStream(parse_rational(p) for p in pieces if p.strip())
 
 
 def render_state(state: QState, emit: str, digits: int, sparse: bool) -> list[str]:
@@ -185,24 +130,29 @@ def render_state(state: QState, emit: str, digits: int, sparse: bool) -> list[st
     return lines
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    circuit = parse_circuit(_read(cfg.circuit_path), cfg.qubits)
-    initial = _initial_state(cfg.state_spec, cfg.backend)
-    stream = _random_stream(cfg)
-    if cfg.trace:
+def cmd_run(args) -> int:
+    if args.emit == "exact" and args.digits is not None:
+        raise ParseError("--digits applies only to --emit decimal")
+    digits = args.digits if args.digits is not None else 6
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ParseError(f"--digits must be in 1..{MAX_DIGITS}")
+    backend = _backend_from_args(args)
+    circuit = parse_circuit(_read(args.circuit), args.qubits)
+    initial = _initial_state(args.state, backend)
+    stream = _random_stream(args)
+    if args.command == "trace":
         _, events = run_circuit_traced(circuit, initial, stream)
-        blocks = ["# initial"]
-        blocks += render_state(normalize(initial), cfg.emit, cfg.digits, cfg.sparse_output)
+        lines = ["# initial"]
+        lines += render_state(normalize(initial), args.emit, digits, args.sparse_output)
         for event in events:
             label = f"# step {event.step}: {event.gate}"
             if event.draw is not None:
                 label += f" r={event.draw}"
-            blocks += ["", label]
-            blocks += render_state(event.state, cfg.emit, cfg.digits, cfg.sparse_output)
-        lines = blocks
+            lines += ["", label]
+            lines += render_state(event.state, args.emit, digits, args.sparse_output)
     else:
         final = run_circuit(circuit, initial, stream)
-        lines = render_state(final, cfg.emit, cfg.digits, cfg.sparse_output)
+        lines = render_state(final, args.emit, digits, args.sparse_output)
     for line in lines:
         print(line)
     return EXIT_OK
@@ -283,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--digits", type=int, default=None,
-            help="decimal places for --emit decimal (default 6)",
+            help=f"decimal places for --emit decimal, 1..{MAX_DIGITS} (default 6)",
         )
         p.add_argument(
             "--sparse-output", action="store_true",
             help="omit zero-coefficient terms from the output",
         )
-        p.set_defaults(func=lambda args: cmd_run(_run_config(args)))
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("teleport", help="run the teleportation protocol once")
     p.add_argument("--alpha", required=True, help="payload |0> coefficient, cplx literal")

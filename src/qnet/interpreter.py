@@ -112,40 +112,49 @@ def count_measurements(circuit: Circuit) -> int:
 
 
 def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
-    """Parse circuit text, validating arities and index ranges.
+    """Parse circuit text in one pass over its lines.
 
-    The qubit count comes from the optional 'qubits N' header or the
-    nqubits argument; if both are present they must agree.
+    Each gate line is built as a `Gate`, whose checks (known kind, arity,
+    distinct CN control and target) are the rules; a failed check becomes a
+    ParseError carrying the line number.  The qubit count comes from the
+    optional 'qubits N' header, which may only precede the gates, or from the
+    nqubits argument; if both are present they must agree.  The count is
+    settled at the first gate, so each index is range-checked as its line
+    is read.
     """
     declared: int | None = None
-    pending: list[tuple[int, str, tuple[int, ...]]] = []
-    saw_gate = False
+    total: int | None = None
+    gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if not saw_gate and declared is None and tokens[0] == "qubits":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+        kind, *args = line.split()
+        if kind == "qubits" and not gates and declared is None:
+            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
                 raise ParseError("header must be 'qubits <count>'", line=lineno)
-            declared = int(tokens[1])
+            declared = int(args[0])
             continue
-        kind, args = tokens[0], tokens[1:]
-        arity = GATE_ARITY.get(kind)
-        if arity is None:
-            raise ParseError(f"unknown gate {kind!r}", line=lineno)
-        if len(args) != arity:
-            raise ParseError(
-                f"{kind} takes {arity} operand(s), got {len(args)}", line=lineno
-            )
         if not all(a.isdigit() for a in args):
             raise ParseError(f"bad qubit index in {line!r}", line=lineno)
-        operands = tuple(int(a) for a in args)
-        if kind == "CN" and operands[0] == operands[1]:
-            raise ParseError("CN control and target must differ", line=lineno)
-        pending.append((lineno, kind, operands))
-        saw_gate = True
+        try:
+            gate = Gate(kind, tuple(int(a) for a in args))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if total is None:
+            total = _qubit_count(declared, nqubits)
+        for q in gate.operands:
+            if q >= total:
+                raise ParseError(
+                    f"qubit {q} out of range for {total} qubits", line=lineno
+                )
+        gates.append(gate)
+    if total is None:
+        total = _qubit_count(declared, nqubits)
+    return Circuit(tuple(gates), total)
 
+
+def _qubit_count(declared: int | None, nqubits: int | None) -> int:
     if declared is not None and nqubits is not None and declared != nqubits:
         raise ParseError(
             f"header declares {declared} qubits but caller passed {nqubits}"
@@ -153,13 +162,7 @@ def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
     total = declared if declared is not None else nqubits
     if total is None:
         raise ParseError("qubit count not declared (no header and no --qubits)")
-    for lineno, kind, operands in pending:
-        for q in operands:
-            if q >= total:
-                raise ParseError(
-                    f"qubit {q} out of range for {total} qubits", line=lineno
-                )
-    return Circuit(tuple(Gate(k, ops) for _, k, ops in pending), total)
+    return total
 
 
 def _apply(gate: Gate, state: QState, rs: RandomStream) -> tuple[QState, Fraction | None]:

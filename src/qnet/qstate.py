@@ -172,7 +172,8 @@ def normalize(state: QState) -> QState:
 
     Exact backend: the squared norm becomes the new scale_sq, then the
     in-field square root is attempted; on success every coefficient is
-    divided by it and scale_sq resets to 1 (fully normalized), otherwise
+    divided by it (a root of exactly one leaves them as they are) and
+    scale_sq resets to 1 (fully normalized), otherwise
     the scale stays deferred and the state is unit.  Approximate backend:
     coefficients are divided by iter_sqrt of the squared norm.
     """
@@ -183,7 +184,8 @@ def normalize(state: QState) -> QState:
     root = backend.sqrt(nsq)
     if root is None:
         return QState(state.nqubits, state.amps, nsq, backend)
-    return QState(state.nqubits, tuple(c / root for c in state.amps), backend.one, backend)
+    amps = state.amps if root == backend.one else tuple(c / root for c in state.amps)
+    return QState(state.nqubits, amps, backend.one, backend)
 
 
 def tensor_product(a: QState, b: QState) -> QState:

@@ -354,14 +354,8 @@ def format_qext(x: QExt) -> str:
     return f"{x.a}+{x.b}*s2"
 
 
-def format_scalar(x: Scalar) -> str:
-    if isinstance(x, QExt):
-        return format_qext(x)
-    return str(Fraction(x))
-
-
 def format_cscalar(z: CScalar) -> str:
-    return f"({format_scalar(z.re)}, {format_scalar(z.im)})"
+    return f"({z.re}, {z.im})"
 
 
 def format_fixed(x, digits: int) -> str:

@@ -105,6 +105,19 @@ class TestRun:
         assert code == 0
         assert out.splitlines() == ["(3/5, 0) | 0", "(0, 4/5) | 1"]
 
+    def test_qubit_initial_state_tolerates_spaces(self, capsys, tmp_path):
+        circuit = tmp_path / "id.qc"
+        circuit.write_text("I 0\n")
+        outputs = [
+            run_cli(
+                capsys,
+                "run", "--circuit", str(circuit), "--qubits", "1", "--state", spec,
+            )
+            for spec in ("qubit:(3/5,0),(0,4/5)", "qubit:( 3/5 , 0 ) , (0,4/5)")
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     def test_state_file_input(self, capsys, tmp_path):
         circuit = tmp_path / "x.qc"
         circuit.write_text("qubits 2\nX 1\n")
@@ -139,6 +152,18 @@ class TestRun:
         )
         assert code == 0
         assert out.splitlines() == ["(1, 0) | 0", "(0, 0) | 1"]
+
+    def test_randoms_inline_and_file_agree(self, capsys, tmp_path):
+        circuit = tmp_path / "mm.qc"
+        circuit.write_text("qubits 1\nH 0\nM 0\nH 0\nM 0\n")
+        randoms = tmp_path / "draws.txt"
+        randoms.write_text("# draws\n1/4\n\n3/4  # second\n")
+        common = ("trace", "--circuit", str(circuit), "--state", "zero:1")
+        inline = run_cli(capsys, *common, "--randoms", " 1/4 , ,3/4")
+        from_file = run_cli(capsys, *common, "--randoms-file", str(randoms))
+        assert inline[0] == 0
+        assert "r=1/4" in inline[1] and "r=3/4" in inline[1]
+        assert inline == from_file
 
     def test_approx_backend(self, capsys, bell_circuit):
         code, out, _ = run_cli(
@@ -217,6 +242,30 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--digits" in err
+
+    def test_digits_above_the_int_string_limit_refused(self, capsys, tmp_path):
+        circuit = tmp_path / "id.qc"
+        circuit.write_text("qubits 1\nI 0\n")
+        code, out, err = run_cli(
+            capsys,
+            "run", "--circuit", str(circuit), "--state", "zero:1",
+            "--emit", "decimal", "--digits", "4301",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--digits" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["qubit:(1,0),(0,1),(1,1)", "qubit:1,0", "qubit:(1,0)"]
+    )
+    def test_malformed_qubit_spec(self, capsys, tmp_path, spec):
+        circuit = tmp_path / "id.qc"
+        circuit.write_text("I 0\n")
+        code, out, _ = run_cli(
+            capsys, "run", "--circuit", str(circuit), "--qubits", "1", "--state", spec
+        )
+        assert code == 2
+        assert out == ""
 
     def test_randoms_flags_mutually_exclusive(self, capsys, bell_circuit, tmp_path):
         draws = tmp_path / "draws.txt"

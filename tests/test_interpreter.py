@@ -95,6 +95,10 @@ class TestParseCircuit:
             ("H -1", 1),
             ("H 0\nH 5", 2),
             ("qubits x", 1),
+            ("H 0\nCN 1 1", 2),
+            ("H 0\nH 1\nqubits 3", 3),
+            ("CN 0 x", 1),
+            ("H 0\nX 2", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
