@@ -89,7 +89,7 @@ def _read(path: str) -> str:
 def _initial_state(spec: str, backend: Backend) -> QState:
     if spec.startswith("zero:"):
         count = spec[len("zero:") :]
-        if not count.isdigit() or int(count) < 1:
+        if not count.isdecimal() or int(count) < 1:
             raise ParseError(f"bad initial state {spec!r}")
         return zero_qstate(int(count), backend)
     if spec.startswith("qubit:"):
@@ -137,6 +137,8 @@ def cmd_run(args) -> int:
     if not 1 <= digits <= MAX_DIGITS:
         raise ParseError(f"--digits must be in 1..{MAX_DIGITS}")
     backend = _backend_from_args(args)
+    if args.qubits is not None and args.qubits < 1:
+        raise ParseError("--qubits must be at least 1")
     circuit = parse_circuit(_read(args.circuit), args.qubits)
     initial = _initial_state(args.state, backend)
     stream = _random_stream(args)

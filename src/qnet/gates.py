@@ -2,9 +2,12 @@
 
 Each gate maps a canonical state to a canonical state by permuting,
 negating, mixing or zeroing entries of its coefficient vector.  Gates
-never renormalize: the interpreter normalizes between successive gates,
-so the output of M in particular is left collapsed but unscaled.  All
-gates preserve scale_sq.
+never renormalize, so the output of M in particular is left collapsed but
+unscaled.  The interpreter renormalizes after every M and, on the
+approximate backend, after every gate; on the exact backend X, Z, I, CN
+and H keep the squared norm exactly, so a normalized state stays
+normalized through them and the states seen are the same.  All gates
+preserve scale_sq.
 
 A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
 which also validates n.
@@ -81,6 +84,8 @@ def gate_M(state: QState, n: int, r) -> QState:
     zero_side = backend.zero
     total = backend.zero
     for i, c in enumerate(state.amps):
+        if not c:
+            continue
         nsq = c.norm_sq()
         total = total + nsq
         if not i & mask:

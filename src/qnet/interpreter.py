@@ -2,8 +2,12 @@
 
 A circuit is an ordered list of gate applications over a declared number
 of qubits, consumed together with a stream of random draws.  Evaluation
-normalizes the initial state, then folds gate-then-normalize over the
-list; only M gates consume a draw.
+normalizes the initial state, then applies the gates in order; only M
+gates consume a draw.  The state is renormalized after every M gate, and
+on the approximate backend after every gate.  The exact backend skips the
+renormalization after the unitary gates because there it would return
+the state unchanged (see ``_run``), so the states it yields, and prints,
+are those of normalizing after every gate.
 
 Circuit text grammar (one gate per line):
 
@@ -131,11 +135,11 @@ def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
             continue
         kind, *args = line.split()
         if kind == "qubits" and not gates and declared is None:
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise ParseError("header must be 'qubits <count>'", line=lineno)
             declared = int(args[0])
             continue
-        if not all(a.isdigit() for a in args):
+        if not all(a.isdecimal() for a in args):
             raise ParseError(f"bad qubit index in {line!r}", line=lineno)
         try:
             gate = Gate(kind, tuple(int(a) for a in args))
@@ -174,6 +178,19 @@ def _apply(gate: Gate, state: QState, rs: RandomStream) -> tuple[QState, Fractio
 
 
 def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):
+    """Normalize, then apply each gate, renormalizing after M gates and,
+    where the backend asks for it, after every gate.
+
+    On the exact backend a unitary gate keeps the squared norm exactly:
+    X, Z, I and CN permute or negate coefficients, and H is an isometry,
+    |(a+b)/sqrt(2)|^2 + |(a-b)/sqrt(2)|^2 = |a|^2 + |b|^2.  A normalized
+    state therefore enters each unitary gate with squared norm 1 (root 1)
+    or with its squared norm deferred in scale_sq and no in-field root,
+    and leaves it the same way; `normalize` would return its coefficients
+    and scale_sq unchanged.  Only M changes the norm.  The approximate
+    backend's sqrt(2) and roots are rational stand-ins, so it still
+    renormalizes after every gate.
+    """
     if qstate.nqubits != circuit.nqubits:
         raise ValueError(
             f"state has {qstate.nqubits} qubits, circuit has {circuit.nqubits}"
@@ -184,18 +201,21 @@ def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):
             f"circuit has {needed} M gate(s) but only {rs.remaining} draw(s) remain"
         )
     state = normalize(qstate)
+    every_gate = state.backend.normalizes_after_unitaries
     events: list[TraceEvent] = []
     for step, gate in enumerate(circuit.gates, start=1):
         state, draw = _apply(gate, state, rs)
-        state = normalize(state)
+        if every_gate or gate.kind == "M":
+            state = normalize(state)
         if record:
             events.append(TraceEvent(step, gate, state, draw))
     return state, tuple(events)
 
 
 def run_circuit(circuit: Circuit, qstate: QState, rs: RandomStream) -> QState:
-    """Normalize the initial state, then apply each gate followed by a
-    normalization, drawing one random number per M gate."""
+    """Normalize the initial state, then apply each gate, drawing one
+    random number per M gate; the result equals normalizing after every
+    gate (see `_run`)."""
     state, _ = _run(circuit, qstate, rs, record=False)
     return state
 

@@ -163,7 +163,8 @@ def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
     total = state.backend.zero
     for c in state.amps:
-        total = total + c.norm_sq()
+        if c:
+            total = total + c.norm_sq()
     return total
 
 

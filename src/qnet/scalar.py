@@ -52,8 +52,9 @@ class QExt:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # a part that is already a Fraction is stored as it is
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("QExt is immutable")
@@ -85,7 +86,7 @@ class QExt:
         return hash((self.a, self.b))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return bool(self.a) or bool(self.b)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -122,6 +123,17 @@ class QExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # Two divisor shapes have a closed form that gives the same reduced
+        # parts as the conjugate formula below: d*sqrt(2) (the H gate's
+        # sqrt(2)), where (a + b*sqrt(2)) / (d*sqrt(2)) = b/d + (a/2d)*sqrt(2),
+        # and a rational d, which divides each part.
+        if not o.a and o.b:
+            if o.b == 1:
+                a = self.a
+                return QExt(self.b, Fraction(a.numerator, 2 * a.denominator))
+            return QExt(self.b / o.b, self.a / (2 * o.b))
+        if not o.b and o.a:
+            return QExt(self.a / o.a, self.b / o.a)
         # multiply by the conjugate (a - b*sqrt(2)); the field norm
         # a^2 - 2 b^2 is zero only for the zero element
         norm = o.a * o.a - 2 * o.b * o.b
@@ -221,7 +233,7 @@ class CScalar:
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return bool(self.re != 0 or self.im != 0)
+        return bool(self.re) or bool(self.im)
 
     def __add__(self, other: "CScalar") -> "CScalar":
         return CScalar(self.re + other.re, self.im + other.im)
@@ -253,9 +265,16 @@ class CScalar:
 def iter_sqrt(x, e) -> Fraction:
     """Rational r with |r - sqrt(x)| <= e, by bisection.
 
-    Brackets on [0, max(1, x)], halves until the bracket width is at most
-    e, and returns the midpoint of the final bracket (halving the
-    worst-case error).  Deterministic for given (x, e).
+    Brackets on [0, w] with w = max(1, x), halves until the bracket width
+    is at most e, and returns the midpoint of the final bracket (halving
+    the worst-case error).  Deterministic for given (x, e).
+
+    The bisection is computed in closed form, with the same result.  After
+    m halvings (m the least with w/2^m <= e) the lower end is k*w/2^m for
+    the largest grid point k below 2^m with (k*w/2^m)^2 <= x, that is
+    k = min(2^m - 1, isqrt(floor(x * 4^m / w^2))); the midpoint returned
+    is (2k + 1) * w / 2^(m+1).  One integer square root replaces m
+    Fraction iterations.
     """
     x = Fraction(x)
     e = Fraction(e)
@@ -263,15 +282,17 @@ def iter_sqrt(x, e) -> Fraction:
         raise ValueError("iter_sqrt of a negative value")
     if e <= 0:
         raise ValueError("tolerance must be positive")
-    lo = Fraction(0)
-    hi = max(Fraction(1), x)
-    while hi - lo > e:
-        mid = (lo + hi) / 2
-        if mid * mid <= x:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    w = max(Fraction(1), x)
+    wn, wd = w.numerator, w.denominator
+    # least m >= 0 with w <= e * 2^m, i.e. big <= small * 2^m; the bit
+    # lengths give it up to one
+    big, small = wn * e.denominator, e.numerator * wd
+    m = max(0, big.bit_length() - small.bit_length())
+    if small << m < big:
+        m += 1
+    k = math.isqrt((x.numerator * wd * wd << 2 * m) // (x.denominator * wn * wn))
+    k = min(k, (1 << m) - 1)
+    return Fraction((2 * k + 1) * wn, wd << (m + 1))
 
 
 def approx_of_qext(x: QExt, e) -> Fraction:
@@ -378,11 +399,20 @@ def format_fixed(x, digits: int) -> str:
 UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
 
 
+# Each backend also carries two class constants: ``name`` (as printed) and
+# ``normalizes_after_unitaries``, whether the interpreter must renormalize
+# after X, Z, H, I and CN as well as after M.  Exact arithmetic keeps the
+# squared norm of a state through every unitary gate, so there the
+# renormalization would return its input unchanged; rational stand-ins
+# for sqrt(2) and for square roots do not.
+
+
 @dataclass(frozen=True)
 class ExactBackend:
     """Scalars are QExt values; sqrt may fail, comparisons are exact."""
 
     name = "exact"
+    normalizes_after_unitaries = False
 
     @property
     def zero(self) -> QExt:
@@ -423,6 +453,7 @@ class ApproxBackend:
     eps: Fraction = Fraction(1, 10**12)
 
     name = "approx"
+    normalizes_after_unitaries = True
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))

@@ -278,6 +278,41 @@ class TestExitCodes:
         assert code == 2
         assert "mutually exclusive" in err
 
+    def test_superscript_qubit_count_reports_its_line(self, capsys, tmp_path):
+        circuit = tmp_path / "sup.qc"
+        circuit.write_text("qubits \u00b2\nH 0\n")
+        code, out, err = run_cli(
+            capsys, "run", "--circuit", str(circuit), "--state", "zero:2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "line 1" in err
+
+    def test_superscript_zero_state_is_a_bad_initial_state(self, capsys, tmp_path):
+        circuit = tmp_path / "id.qc"
+        circuit.write_text("I 0\n")
+        code, out, err = run_cli(
+            capsys,
+            "run", "--circuit", str(circuit), "--qubits", "1", "--state", "zero:\u00b2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad initial state" in err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_qubits_below_one_refused_before_reading(self, capsys, tmp_path, count):
+        circuit = tmp_path / "h.qc"
+        circuit.write_text("H 0\n")
+        for path in (circuit, tmp_path / "ghost.qc"):
+            code, out, err = run_cli(
+                capsys,
+                "run", "--circuit", str(path), "--qubits", count, "--state", "zero:1",
+            )
+            assert code == 2
+            assert out == ""
+            assert "--qubits" in err
+            assert "line" not in err and "cannot read" not in err
+
 
 class TestTrace:
     def test_fig1_blocks(self, capsys, bell_circuit):

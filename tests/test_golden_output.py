@@ -1,0 +1,89 @@
+"""Byte-for-byte stdout of fixed CLI invocations.
+
+Each case runs ``qnet.cli.main`` in process and compares its stdout with
+``tests/golden/<case>.out``.  The recorded files are the output contract:
+a change that alters any of them changes what users see.  To record them
+afresh (only when an output change is intended), run
+
+    PYTHONPATH=src python tests/test_golden_output.py
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qnet.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+CIRCUIT_3Q = "qubits 3\nH 0\nCN 0 1\nH 2\nM 0\nCN 1 2\nH 1\nM 2\n"
+DEFERRED_3Q = "(1, 0) | 000\n(0, 1) | 011\n(1, 0) | 110\n"
+
+#: placeholder -> (file name, contents) of the input files the cases name
+FILES = {
+    "circuit3": ("c3.qc", CIRCUIT_3Q),
+    "h1": ("h1.qc", "qubits 1\nH 0\n"),
+    "deferred3": ("d3.state", DEFERRED_3Q),
+}
+
+#: case name -> argv, with ``{placeholder}`` for an input file
+CASES = {
+    "verify-teleport-exact": ["verify-teleport"],
+    "verify-teleport-approx": ["verify-teleport", "--backend", "approx"],
+    "teleport-approx-sqrt2": [
+        "teleport", "--backend", "approx",
+        "--alpha", "(1/2*s2,0)", "--beta", "(0,1/2*s2)",
+        "--r1", "1/4", "--r2", "3/4",
+    ],
+    "run-decimal-deferred": [
+        "run", "--circuit", "{h1}", "--state", "qubit:(1,0),(2,0)",
+        "--emit", "decimal", "--digits", "60",
+    ],
+    "trace-3q-exact": [
+        "trace", "--circuit", "{circuit3}", "--state", "zero:3",
+        "--randoms", "1/3,2/3",
+    ],
+    "trace-3q-deferred": [
+        "trace", "--circuit", "{circuit3}", "--state", "{deferred3}",
+        "--randoms", "1/5,3/5", "--emit", "decimal", "--digits", "30",
+    ],
+    "trace-3q-approx-decimal": [
+        "trace", "--circuit", "{circuit3}", "--state", "zero:3",
+        "--randoms", "1/3,2/3", "--backend", "approx", "--eps", "1/1000",
+        "--emit", "decimal", "--digits", "12",
+    ],
+}
+
+
+def run_case(name: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, (filename, text) in FILES.items():
+            paths[key] = Path(tmp, filename)
+            paths[key].write_text(text)
+        argv = [arg.format(**paths) for arg in CASES[name]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_recorded_bytes(name):
+    code, out = run_case(name)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        status, text = run_case(case)
+        if status != 0:
+            sys.exit(f"{case}: exit {status}")
+        (GOLDEN / f"{case}.out").write_text(text, encoding="utf-8")
+        print(f"wrote {case}.out ({len(text)} bytes)")

@@ -106,6 +106,14 @@ class TestParseCircuit:
             parse_circuit(text, 2)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text,line", [("qubits \u00b2\nH 0", 1), ("H 0\nH \u00b2", 2)]
+    )
+    def test_superscript_digits_carry_line_numbers(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text, 2)
+        assert err.value.line == line
+
     def test_gate_order_preserved(self):
         circuit = parse_circuit("X 0\nZ 1\nI 0\nM 1", 2)
         assert [g.kind for g in circuit.gates] == ["X", "Z", "I", "M"]
