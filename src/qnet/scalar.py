@@ -123,17 +123,14 @@ class QExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # Two divisor shapes have a closed form that gives the same reduced
-        # parts as the conjugate formula below: d*sqrt(2) (the H gate's
-        # sqrt(2)), where (a + b*sqrt(2)) / (d*sqrt(2)) = b/d + (a/2d)*sqrt(2),
-        # and a rational d, which divides each part.
+        # A divisor d*sqrt(2) (the H gate's sqrt(2)) has a closed form that
+        # gives the same reduced parts as the conjugate formula below:
+        # (a + b*sqrt(2)) / (d*sqrt(2)) = b/d + (a/2d)*sqrt(2).
         if not o.a and o.b:
             if o.b == 1:
                 a = self.a
                 return QExt(self.b, Fraction(a.numerator, 2 * a.denominator))
             return QExt(self.b / o.b, self.a / (2 * o.b))
-        if not o.b and o.a:
-            return QExt(self.a / o.a, self.b / o.a)
         # multiply by the conjugate (a - b*sqrt(2)); the field norm
         # a^2 - 2 b^2 is zero only for the zero element
         norm = o.a * o.a - 2 * o.b * o.b

@@ -25,8 +25,8 @@ from qnet import (
     zero_qstate,
 )
 from qnet.errors import ParseError, RandomStreamExhausted
-from qnet.qstate import index_to_bits
-from qnet.scalar import ApproxBackend
+from qnet.qstate import QState, index_to_bits
+from qnet.scalar import EXACT, ApproxBackend
 
 from support import (
     ops_to_circuit,
@@ -255,16 +255,21 @@ def manual_fold(circuit, state, draws):
 
 class TestEvaluationProperties:
     def test_matches_manual_fold(self):
-        rng = random.Random(157)
-        for _ in range(40):
-            nqubits = rng.randint(1, 3)
-            ops = rand_circuit_ops(rng, nqubits, rng.randint(0, 8))
-            circuit = ops_to_circuit(ops, nqubits)
-            draws = rand_draws(rng, count_measurements(circuit))
-            state = rand_state(rng, nqubits)
-            expected = manual_fold(circuit, state, draws)
-            got = run_circuit(circuit, state, RandomStream(draws))
-            assert states_identical(got, expected)
+        # run_circuit renormalizes only where the backend needs it (after M
+        # alone on the exact backend); the fold renormalizes after every gate
+        for backend in (EXACT, ApproxBackend(F(1, 10**6))):
+            rng = random.Random(157)
+            for _ in range(40):
+                nqubits = rng.randint(1, 6)
+                ops = rand_circuit_ops(rng, nqubits, rng.randint(0, 8))
+                circuit = ops_to_circuit(ops, nqubits)
+                draws = rand_draws(rng, count_measurements(circuit))
+                exact = rand_state(rng, nqubits)
+                amps = tuple(backend.cscalar(c) for c in exact.amps)
+                state = QState(nqubits, amps, backend.one, backend)
+                expected = manual_fold(circuit, state, draws)
+                got = run_circuit(circuit, state, RandomStream(draws))
+                assert states_identical(got, expected)
 
     def test_composition(self):
         rng = random.Random(163)
