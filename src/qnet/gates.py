@@ -10,43 +10,98 @@ normalized through them and the states seen are the same.  All gates
 preserve scale_sq.
 
 A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
-which also validates n.
+which also validates n.  X, Z, H and CN apply to each of a state's
+``lanes`` that is not all zero.  On the exact backend the lanes hold integers: H adds
+and subtracts each pair and divides the shared ``unit`` by sqrt(2) once,
+and M compares integer norm sums by an exact sign test.  On the
+approximate backend the one lane holds CScalars, and H divides each
+nonzero pair by the rational stand-in for sqrt(2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
-from .qstate import QState, qubit_mask
-from .scalar import CScalar
+from .qstate import QState, lane_norm_sq, qubit_mask
+from .scalar import CScalar, QExt
+
+
+def _split(lane, mask: int) -> tuple[list, list]:
+    """The entries whose index has bit `mask` clear (lo) and set (hi), in
+    index order, so lo[p] and hi[p] are a pair and p is the index with bit
+    `mask` taken out.  Copied by slices: one per offset below `mask`, or one
+    per block of 2*mask entries, whichever is fewer."""
+    half = len(lane) // 2
+    step = 2 * mask
+    if mask * mask <= half:
+        lo, hi = [0] * half, [0] * half
+        for o in range(mask):
+            lo[o::mask] = lane[o::step]
+            hi[o::mask] = lane[o + mask::step]
+    else:
+        lo, hi = [], []
+        for j in range(0, 2 * half, step):
+            lo += lane[j : j + mask]
+            hi += lane[j + mask : j + step]
+    return lo, hi
+
+
+def _merge(lo, hi, mask: int) -> tuple:
+    """The lane whose halves `_split(lane, mask)` would return."""
+    half = len(lo)
+    step = 2 * mask
+    out = [0] * (2 * half)
+    if mask * mask <= half:
+        for o in range(mask):
+            out[o::step] = lo[o::mask]
+            out[o + mask::step] = hi[o::mask]
+    else:
+        for j, k in zip(range(0, 2 * half, step), range(0, half, mask)):
+            out[j : j + mask] = lo[k : k + mask]
+            out[j + mask : j + step] = hi[k : k + mask]
+    return tuple(out)
+
+
+def _on_halves(state: QState, mask: int, fn, unit=None) -> QState:
+    """`fn(lo, hi) -> (lo, hi)` applied to the halves of every lane that is
+    not all zero; `unit`, if given, replaces the state's."""
+
+    def apply(lane):
+        return _merge(*fn(*_split(lane, mask)), mask)
+
+    return state.with_lanes((apply(lane) if any(lane) else lane for lane in state.lanes), unit)
 
 
 def gate_X(state: QState, n: int) -> QState:
     """Negation: flips qubit n in every term."""
-    mask = qubit_mask(state.nqubits, n)
-    amps = state.amps
-    return state.with_amps([amps[i ^ mask] for i in range(len(amps))])
+    return _on_halves(state, qubit_mask(state.nqubits, n), lambda lo, hi: (hi, lo))
 
 
 def gate_Z(state: QState, n: int) -> QState:
     """Phase flip: negates the coefficient wherever qubit n is |1>."""
     mask = qubit_mask(state.nqubits, n)
-    return state.with_amps([-c if i & mask else c for i, c in enumerate(state.amps)])
+    return _on_halves(state, mask, lambda lo, hi: (lo, list(map(neg, hi))))
 
 
 def gate_H(state: QState, n: int) -> QState:
     """Hadamard: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on qubit n."""
     mask = qubit_mask(state.nqubits, n)
     root2 = state.backend.sqrt_two()
-    amps = state.amps
-    out = list(amps)
-    for i in range(len(amps)):
-        if i & mask:
-            continue
-        lo, hi = amps[i], amps[i | mask]
-        out[i] = (lo + hi) / root2
-        out[i | mask] = (lo - hi) / root2
-    return state.with_amps(out)
+    if state.unit is not None:
+        def mix(lo, hi):
+            return list(map(add, lo, hi)), list(map(sub, lo, hi))
+
+        return _on_halves(state, mask, mix, state.unit / root2)
+
+    def mix_divided(lo, hi):
+        pairs = list(zip(lo, hi))
+        return (
+            [(x + y) / root2 if x or y else x for x, y in pairs],
+            [(x - y) / root2 if x or y else x for x, y in pairs],
+        )
+
+    return _on_halves(state, mask, mix_divided)
 
 
 def gate_I(state: QState, n: int) -> QState:
@@ -61,10 +116,15 @@ def gate_CN(state: QState, c: int, n: int) -> QState:
         raise ValueError("CN control and target must differ")
     cmask = qubit_mask(state.nqubits, c)
     nmask = qubit_mask(state.nqubits, n)
-    amps = state.amps
-    return state.with_amps(
-        [amps[i ^ nmask] if i & cmask else amps[i] for i in range(len(amps))]
-    )
+    # an X on the |1> half of qubit c, in which bit nmask sits one lower
+    # if it is above the removed bit cmask
+    sub_mask = nmask if nmask < cmask else nmask >> 1
+
+    def flip_where_set(lo, hi):
+        hi_lo, hi_hi = _split(hi, sub_mask)
+        return lo, _merge(hi_hi, hi_lo, sub_mask)
+
+    return _on_halves(state, cmask, flip_where_set)
 
 
 def gate_M(state: QState, n: int, r) -> QState:
@@ -80,22 +140,30 @@ def gate_M(state: QState, n: int, r) -> QState:
     if not 0 <= r <= 1:
         raise ValueError("random draw must lie in [0, 1]")
     mask = qubit_mask(state.nqubits, n)
+    halves = [_split(lane, mask) for lane in state.lanes]
     backend = state.backend
-    zero_side = backend.zero
-    total = backend.zero
-    for i, c in enumerate(state.amps):
-        if not c:
-            continue
-        nsq = c.norm_sq()
-        total = total + nsq
-        if not i & mask:
-            zero_side = zero_side + nsq
-    if backend.sign(total) == 0:
-        raise ValueError("cannot measure the zero state")
-    # ratio of squared norms: correct even on non-unit (deferred) states
-    p0 = zero_side / total
-    outcome = backend.sign(p0 - r) <= 0
-    zero = CScalar(backend.zero, backend.zero)
-    return state.with_amps(
-        [c if bool(i & mask) == outcome else zero for i, c in enumerate(state.amps)]
-    )
+    if state.unit is not None:
+        # p0 = Z / (Z + O) for the integer norm sums Z, O of the two sides
+        # (the common factor unit^2 > 0 cancels), so r < p0 iff
+        # r.den * Z - r.num * (Z + O) > 0: a sign test in Z[sqrt(2)]
+        zx, zy = lane_norm_sq(*(lo for lo, _ in halves))
+        ox, oy = lane_norm_sq(*(hi for _, hi in halves))
+        if not zx + ox:
+            raise ValueError("cannot measure the zero state")
+        u, v = r.numerator, r.denominator
+        test = QExt(v * zx - u * (zx + ox), v * zy - u * (zy + oy))
+        outcome = test.sign() <= 0
+        zero = 0
+    else:
+        (lo, hi), = halves
+        zero_side = sum((c.norm_sq() for c in lo if c), backend.zero)
+        total = sum((c.norm_sq() for c in hi if c), zero_side)
+        if backend.sign(total) == 0:
+            raise ValueError("cannot measure the zero state")
+        # ratio of squared norms: correct even on non-unit (deferred) states
+        p0 = zero_side / total
+        outcome = backend.sign(p0 - r) <= 0
+        zero = CScalar(backend.zero, backend.zero)
+    zeros = [zero] * (1 << (state.nqubits - 1))
+    kept = [_merge(zeros, hi, mask) if outcome else _merge(lo, zeros, mask) for lo, hi in halves]
+    return state.with_lanes(kept)

@@ -1,12 +1,20 @@
 """Quantum states as coefficient vectors.
 
 A state over n qubits is the paper's term list in dense canonical form:
-one complex coefficient per basis vector, stored in ``amps`` in
-basis-index order.  Basis index i stands for the bit configuration that
-is the n-bit binary expansion of i, qubit 0 being the most significant
-(leftmost) bit; ``qubit_mask`` is the one place that rule is written
-down, and bit configurations exist only where the text grammar needs
-them, when a state file is parsed and when a state is rendered.
+one complex coefficient per basis vector, in basis-index order.  Basis
+index i stands for the bit configuration that is the n-bit binary
+expansion of i, qubit 0 being the most significant (leftmost) bit;
+``qubit_mask`` is the one place that rule is written down, and bit
+configurations exist only where the text grammar needs them, when a
+state file is parsed and when a state is rendered.
+
+On the exact backend a state stores four tuples of Python ints, ``lanes =
+(re.a, re.b, im.a, im.b)``, and one factor ``unit`` in Q[sqrt(2)]:
+amps[i] = ((re.a[i] + re.b[i]*sqrt(2)) + i*(im.a[i] + im.b[i]*sqrt(2))) * unit.
+Gates do integer work only; common factors move from the integers into
+``unit`` lazily (``QState.reduced``), in ``normalize`` and when the
+CScalar view ``amps`` is built.  On the approximate backend ``lanes``
+holds the CScalar coefficients themselves and ``unit`` is None.
 
 States additionally carry ``scale_sq``, an exact squared scale factor:
 the physical amplitude at index i is amps[i] / sqrt(scale_sq).  In the
@@ -18,8 +26,10 @@ printed or extracted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,6 +42,7 @@ from .scalar import (
     EXACT,
     Backend,
     CScalar,
+    QExt,
     Scalar,
     format_cscalar,
     iter_sqrt,
@@ -79,25 +90,94 @@ class Term:
     bits: tuple[bool, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class QState:
-    """Canonical state: ``amps[i]`` is the coefficient of basis index i."""
+    """Canonical state: ``amps[i]`` is the coefficient of basis index i,
+    a view of ``lanes`` and ``unit`` built on first use."""
 
-    nqubits: int
-    amps: tuple[CScalar, ...]
-    scale_sq: Scalar
-    backend: Backend = EXACT
+    __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend", "_amps")
 
-    def __post_init__(self):
-        _check_width(self.nqubits)
-        if len(self.amps) != 1 << self.nqubits:
+    def __init__(
+        self,
+        nqubits: int,
+        amps: Iterable[CScalar],
+        scale_sq: Scalar,
+        backend: Backend = EXACT,
+    ):
+        _check_width(nqubits)
+        amps = tuple(amps)
+        if len(amps) != 1 << nqubits:
             raise ValueError("canonical state needs one coefficient per basis vector")
-        if self.backend.sign(self.scale_sq) <= 0:
+        if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
+        if backend.integer_lanes:
+            lanes, unit = _integer_lanes(backend.cscalar(c) for c in amps)
+        else:
+            lanes, unit = (amps,), None
+        self._init(nqubits, lanes, unit, scale_sq, backend)
 
-    def with_amps(self, amps: Iterable[CScalar]) -> "QState":
-        """The same width, scale and backend over new coefficients."""
-        return QState(self.nqubits, tuple(amps), self.scale_sq, self.backend)
+    def _init(self, nqubits, lanes, unit, scale_sq, backend) -> None:
+        for name, value in (
+            ("nqubits", nqubits),
+            ("lanes", lanes),
+            ("unit", unit),
+            ("scale_sq", scale_sq),
+            ("backend", backend),
+            ("_amps", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend) -> "QState":
+        """A state over already-built lanes; no checks, no conversion."""
+        state = object.__new__(cls)
+        state._init(nqubits, tuple(lanes), unit, scale_sq, backend)
+        return state
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QState is immutable")
+
+    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar | None = None) -> "QState":
+        """The same width, scale and backend over new lanes (and unit)."""
+        if unit is None:
+            unit = self.unit
+        return QState.from_lanes(self.nqubits, lanes, unit, self.scale_sq, self.backend)
+
+    def reduced(self) -> "QState":
+        """An equal state whose integer lanes share no factor (exact backend).
+
+        The gcd g of all integers moves into ``unit``; then, if every
+        rational part is even, one sqrt(2) does too, because
+        (a + b*sqrt(2)) / sqrt(2) = b + (a/2)*sqrt(2).  After the gcd step
+        some part is odd, so one sqrt(2) step is all there can be.
+        """
+        if self.unit is None:
+            return self
+        lanes, unit = self.lanes, self.unit
+        g = math.gcd(*lanes[0], *lanes[1], *lanes[2], *lanes[3])
+        if g == 0:
+            return self  # the zero vector
+        if g > 1:
+            lanes = tuple(tuple(x // g for x in lane) for lane in lanes)
+            unit = unit * g
+        re_a, re_b, im_a, im_b = lanes
+        if not any(x & 1 for x in re_a) and not any(x & 1 for x in im_a):
+            lanes = (re_b, tuple(x >> 1 for x in re_a), im_b, tuple(x >> 1 for x in im_a))
+            unit = unit * self.backend.sqrt_two()
+        if lanes is self.lanes:
+            return self
+        return self.with_lanes(lanes, unit)
+
+    @property
+    def amps(self) -> tuple[CScalar, ...]:
+        """The coefficients as CScalars, in basis-index order."""
+        if self._amps is None:
+            if self.unit is None:
+                amps = self.lanes[0]
+            else:
+                reduced = self.reduced()
+                amps = _cscalars(reduced.lanes, reduced.unit)
+            object.__setattr__(self, "_amps", amps)
+        return self._amps
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -139,6 +219,48 @@ class QState:
         return f"QState({' + '.join(nonzero) or '0'}, scale_sq={self.scale_sq!s})"
 
 
+def _integer_lanes(amps: Iterable[CScalar]) -> tuple[tuple, QExt]:
+    """Exact coefficients as four integer lanes over one common denominator."""
+    parts = [x for c in amps for x in (c.re.a, c.re.b, c.im.a, c.im.b)]
+    den = math.lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (den // x.denominator) for x in parts]
+    return tuple(tuple(ints[i::4]) for i in range(4)), QExt(Fraction(1, den))
+
+
+def _cscalars(lanes: tuple, unit: QExt) -> tuple[CScalar, ...]:
+    """The CScalar value of every coefficient z * unit.
+
+    With unit = (p + q*sqrt(2)) / s for integers p, q, s, a part
+    a + b*sqrt(2) becomes ((a*p + 2*b*q) + (a*q + b*p)*sqrt(2)) / s.
+    """
+    s = math.lcm(unit.a.denominator, unit.b.denominator)
+    p = unit.a.numerator * (s // unit.a.denominator)
+    q = unit.b.numerator * (s // unit.b.denominator)
+
+    def part(a, b):
+        return QExt(Fraction(a * p + 2 * b * q, s), Fraction(a * q + b * p, s))
+
+    return tuple(
+        CScalar(part(ra, rb), part(ia, ib)) if ra or rb or ia or ib else _ZERO
+        for ra, rb, ia, ib in zip(*lanes)
+    )
+
+
+_ZERO = CScalar(QExt(0), QExt(0))
+
+
+def lane_norm_sq(re_a, re_b, im_a, im_b) -> tuple[int, int]:
+    """Sum of |z|^2 over integer lanes, as (x, y) for x + y*sqrt(2).
+
+    |(a + b*sqrt(2)) + i*(c + d*sqrt(2))|^2
+        = a^2 + 2b^2 + c^2 + 2d^2 + 2(ab + cd)*sqrt(2).
+    """
+    x = sum(map(mul, re_a, re_a)) + sum(map(mul, im_a, im_a))
+    x += 2 * (sum(map(mul, re_b, re_b)) + sum(map(mul, im_b, im_b)))
+    y = 2 * (sum(map(mul, re_a, re_b)) + sum(map(mul, im_a, im_b)))
+    return x, y
+
+
 def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT) -> QState:
     """Canonicalize an arbitrary term list.
 
@@ -156,11 +278,14 @@ def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT
             )
         index = bits_to_index(term.bits)
         amps[index] = amps[index] + term.coeff
-    return QState(nqubits, tuple(amps), backend.one, backend)
+    return QState(nqubits, amps, backend.one, backend)
 
 
 def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
+    if state.unit is not None:
+        x, y = lane_norm_sq(*state.lanes)
+        return QExt(x, y) * (state.unit * state.unit)
     total = state.backend.zero
     for c in state.amps:
         if c:
@@ -171,22 +296,28 @@ def norm_sq(state: QState) -> Scalar:
 def normalize(state: QState) -> QState:
     """Scale a nonzero state to norm 1.
 
-    Exact backend: the squared norm becomes the new scale_sq, then the
-    in-field square root is attempted; on success every coefficient is
-    divided by it (a root of exactly one leaves them as they are) and
-    scale_sq resets to 1 (fully normalized), otherwise
-    the scale stays deferred and the state is unit.  Approximate backend:
+    Exact backend: the lanes are reduced first, the squared norm becomes
+    the new scale_sq, then the in-field square root is attempted; on
+    success ``unit`` is divided by it (a root of exactly one leaves it as
+    it is) and scale_sq resets to 1 (fully normalized), otherwise the
+    scale stays deferred and the state is unit.  Approximate backend:
     coefficients are divided by iter_sqrt of the squared norm.
     """
+    state = state.reduced()
     nsq = norm_sq(state)
     backend = state.backend
     if backend.sign(nsq) == 0:
         raise ValueError("cannot normalize the zero state")
     root = backend.sqrt(nsq)
+    lanes, unit = state.lanes, state.unit
     if root is None:
-        return QState(state.nqubits, state.amps, nsq, backend)
-    amps = state.amps if root == backend.one else tuple(c / root for c in state.amps)
-    return QState(state.nqubits, amps, backend.one, backend)
+        return QState.from_lanes(state.nqubits, lanes, unit, nsq, backend)
+    if root != backend.one:
+        if unit is None:
+            lanes = (tuple(c / root for c in lanes[0]),)
+        else:
+            unit = unit / root
+    return QState.from_lanes(state.nqubits, lanes, unit, backend.one, backend)
 
 
 def tensor_product(a: QState, b: QState) -> QState:
@@ -211,6 +342,10 @@ def make_qubit(alpha: CScalar, beta: CScalar, backend: Backend = EXACT) -> QStat
 def zero_qstate(nqubits: int, backend: Backend = EXACT) -> QState:
     """n-qubit state |0...0>."""
     _check_width(nqubits)
+    if backend.integer_lanes:
+        zeros = (0,) * (1 << nqubits)
+        lanes = ((1,) + zeros[1:], zeros, zeros, zeros)
+        return QState.from_lanes(nqubits, lanes, backend.one, backend.one, backend)
     one = CScalar(backend.one, backend.zero)
     zero = CScalar(backend.zero, backend.zero)
     return QState(nqubits, (one,) + (zero,) * ((1 << nqubits) - 1), backend.one, backend)

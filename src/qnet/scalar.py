@@ -396,10 +396,12 @@ def format_fixed(x, digits: int) -> str:
 UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
 
 
-# Each backend also carries two class constants: ``name`` (as printed) and
+# Each backend also carries three class constants: ``name`` (as printed),
 # ``normalizes_after_unitaries``, whether the interpreter must renormalize
-# after X, Z, H, I and CN as well as after M.  Exact arithmetic keeps the
-# squared norm of a state through every unitary gate, so there the
+# after X, Z, H, I and CN as well as after M, and ``integer_lanes``,
+# whether a state stores its coefficients as integer lanes times one exact
+# factor (see ``qstate``) rather than as CScalars.  Exact arithmetic keeps
+# the squared norm of a state through every unitary gate, so there the
 # renormalization would return its input unchanged; rational stand-ins
 # for sqrt(2) and for square roots do not.
 
@@ -410,6 +412,7 @@ class ExactBackend:
 
     name = "exact"
     normalizes_after_unitaries = False
+    integer_lanes = True
 
     @property
     def zero(self) -> QExt:
@@ -451,6 +454,7 @@ class ApproxBackend:
 
     name = "approx"
     normalizes_after_unitaries = True
+    integer_lanes = False
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
