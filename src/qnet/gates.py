@@ -11,11 +11,11 @@ preserve scale_sq.
 
 A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
 which also validates n.  X, Z, H and CN apply to each of a state's
-``lanes`` that is not all zero.  On the exact backend the lanes hold integers: H adds
-and subtracts each pair and divides the shared ``unit`` by sqrt(2) once,
-and M compares integer norm sums by an exact sign test.  On the
-approximate backend the one lane holds CScalars, and H divides each
-nonzero pair by the rational stand-in for sqrt(2).
+``lanes`` that is not all zero.  On the exact backend the lanes hold
+integers: H adds and subtracts each pair and divides the shared ``unit``
+by sqrt(2) once, and M compares integer norm sums by an exact sign test.
+On the approximate backend the one lane holds CScalars, and H divides
+each nonzero pair by the rational stand-in for sqrt(2).
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def _on_halves(state: QState, mask: int, fn, unit=None) -> QState:
     def apply(lane):
         return _merge(*fn(*_split(lane, mask)), mask)
 
-    return state.with_lanes((apply(lane) if any(lane) else lane for lane in state.lanes), unit)
+    lanes = (apply(lane) if any(lane) else lane for lane in state.lanes)
+    return state.with_lanes(lanes, unit)
 
 
 def gate_X(state: QState, n: int) -> QState:
@@ -165,5 +166,6 @@ def gate_M(state: QState, n: int, r) -> QState:
         outcome = backend.sign(p0 - r) <= 0
         zero = CScalar(backend.zero, backend.zero)
     zeros = [zero] * (1 << (state.nqubits - 1))
-    kept = [_merge(zeros, hi, mask) if outcome else _merge(lo, zeros, mask) for lo, hi in halves]
-    return state.with_lanes(kept)
+    if outcome:
+        return state.with_lanes(_merge(zeros, hi, mask) for _, hi in halves)
+    return state.with_lanes(_merge(lo, zeros, mask) for lo, _ in halves)

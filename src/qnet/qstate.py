@@ -161,7 +161,8 @@ class QState:
             unit = unit * g
         re_a, re_b, im_a, im_b = lanes
         if not any(x & 1 for x in re_a) and not any(x & 1 for x in im_a):
-            lanes = (re_b, tuple(x >> 1 for x in re_a), im_b, tuple(x >> 1 for x in im_a))
+            half_re_a = tuple(x >> 1 for x in re_a)
+            lanes = (re_b, half_re_a, im_b, tuple(x >> 1 for x in im_a))
             unit = unit * self.backend.sqrt_two()
         if lanes is self.lanes:
             return self
