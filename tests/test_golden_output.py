@@ -22,12 +22,34 @@ GOLDEN = Path(__file__).with_name("golden")
 
 CIRCUIT_3Q = "qubits 3\nH 0\nCN 0 1\nH 2\nM 0\nCN 1 2\nH 1\nM 2\n"
 DEFERRED_3Q = "(1, 0) | 000\n(0, 1) | 011\n(1, 0) | 110\n"
+CIRCUIT_4Q = "qubits 4\n" + "".join(
+    f"{gate}\n"
+    for gate in (
+        "H 1", "H 0", "X 0", "H 0", "CN 1 0", "X 3", "H 0", "Z 0",
+        "CN 3 0", "M 1", "Z 0", "CN 3 0", "H 2", "CN 1 3", "H 1", "CN 0 2",
+        "H 1", "X 1", "H 0", "M 0", "CN 0 2", "Z 3", "CN 3 1", "H 3",
+        "H 2", "Z 1", "Z 0", "CN 2 3", "H 2", "M 3", "H 0", "X 3",
+        "Z 2", "Z 3", "H 0", "X 2", "H 2", "CN 3 2", "M 2", "H 1",
+        "H 3",
+    )
+)
+#: out of basis order, with one basis vector twice
+RATIONAL_4Q = (
+    "(-2/7, 5/11) | 1011\n"
+    "(3/13, 0) | 0000\n"
+    "(1/3, -1/9) | 0110\n"
+    "(0, 4/5) | 1100\n"
+    "(1/6, 0) | 0110\n"
+    "(-7/17, 2/3) | 0011\n"
+)
 
 #: placeholder -> (file name, contents) of the input files the cases name
 FILES = {
     "circuit3": ("c3.qc", CIRCUIT_3Q),
     "h1": ("h1.qc", "qubits 1\nH 0\n"),
     "deferred3": ("d3.state", DEFERRED_3Q),
+    "circuit4": ("c4.qc", CIRCUIT_4Q),
+    "rational4": ("r4.state", RATIONAL_4Q),
 }
 
 #: case name -> argv, with ``{placeholder}`` for an input file
@@ -38,6 +60,16 @@ CASES = {
         "teleport", "--backend", "approx",
         "--alpha", "(1/2*s2,0)", "--beta", "(0,1/2*s2)",
         "--r1", "1/4", "--r2", "3/4",
+    ],
+    "teleport-approx-eps30": [
+        "teleport", "--backend", "approx", "--eps", "1/1" + "0" * 30,
+        "--alpha", "(1/2*s2,0)", "--beta", "(3/10*s2,2/5*s2)",
+        "--r1", "3/4", "--r2", "1/4",
+    ],
+    "run-4q-approx-sparse": [
+        "run", "--circuit", "{circuit4}", "--state", "{rational4}",
+        "--randoms", "2/5,3/7,5/8,1/3", "--backend", "approx",
+        "--sparse-output",
     ],
     "run-decimal-deferred": [
         "run", "--circuit", "{h1}", "--state", "qubit:(1,0),(2,0)",
