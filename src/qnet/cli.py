@@ -7,10 +7,12 @@ Subcommands:
     teleport         run the teleportation protocol on one input qubit
     verify-teleport  run the built-in teleportation verification suite
 
-Exit codes: 0 success, 2 parse/validation error, 3 exact rendering hit a
-non-representable amplitude, 4 random stream exhausted, 5 teleportation
-check failed.  Output is deterministic: identical invocations produce
-byte-identical output.
+Exit codes: 0 success, 2 parse/validation error (a runtime domain error
+from a gate names the step and the gate), 3 exact rendering hit a
+non-representable amplitude or one with more digits than Python converts
+from int to text, 4 random stream exhausted, 5 teleportation check failed.
+Output is deterministic: identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations

@@ -10,12 +10,11 @@ normalized through them and the states seen are the same.  All gates
 preserve scale_sq.
 
 A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
-which also validates n.  X, Z, H and CN apply to each of a state's
-``lanes`` that is not all zero.  On the exact backend the lanes hold
-integers: H adds and subtracts each pair and divides the shared ``unit``
-by sqrt(2) once, and M compares integer norm sums by an exact sign test.
-On the approximate backend the one lane holds CScalars, and H divides
-each nonzero pair by the rational stand-in for sqrt(2).
+which also validates n.  X, Z, H and CN apply to each of a state's four
+integer ``lanes`` that is not all zero, the same code on both backends:
+H adds and subtracts each pair and divides the shared ``unit`` once by
+the backend's sqrt(2) (exact, or its rational stand-in), and M compares
+integer norm sums by an exact sign test.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .qstate import QState, lane_norm_sq, qubit_mask
-from .scalar import CScalar, QExt
+from .scalar import QExt
 
 
 def _split(lane, mask: int) -> tuple[list, list]:
@@ -63,9 +62,9 @@ def _merge(lo, hi, mask: int) -> tuple:
     return tuple(out)
 
 
-def _on_halves(state: QState, mask: int, fn, unit=None) -> QState:
+def _on_halves(state: QState, mask: int, fn, unit) -> QState:
     """`fn(lo, hi) -> (lo, hi)` applied to the halves of every lane that is
-    not all zero; `unit`, if given, replaces the state's."""
+    not all zero, over the factor `unit`."""
 
     def apply(lane):
         return _merge(*fn(*_split(lane, mask)), mask)
@@ -76,33 +75,24 @@ def _on_halves(state: QState, mask: int, fn, unit=None) -> QState:
 
 def gate_X(state: QState, n: int) -> QState:
     """Negation: flips qubit n in every term."""
-    return _on_halves(state, qubit_mask(state.nqubits, n), lambda lo, hi: (hi, lo))
+    mask = qubit_mask(state.nqubits, n)
+    return _on_halves(state, mask, lambda lo, hi: (hi, lo), state.unit)
 
 
 def gate_Z(state: QState, n: int) -> QState:
     """Phase flip: negates the coefficient wherever qubit n is |1>."""
     mask = qubit_mask(state.nqubits, n)
-    return _on_halves(state, mask, lambda lo, hi: (lo, list(map(neg, hi))))
+    return _on_halves(state, mask, lambda lo, hi: (lo, list(map(neg, hi))), state.unit)
+
+
+def _mix(lo, hi):
+    return list(map(add, lo, hi)), list(map(sub, lo, hi))
 
 
 def gate_H(state: QState, n: int) -> QState:
     """Hadamard: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on qubit n."""
     mask = qubit_mask(state.nqubits, n)
-    root2 = state.backend.sqrt_two()
-    if state.unit is not None:
-        def mix(lo, hi):
-            return list(map(add, lo, hi)), list(map(sub, lo, hi))
-
-        return _on_halves(state, mask, mix, state.unit / root2)
-
-    def mix_divided(lo, hi):
-        pairs = list(zip(lo, hi))
-        return (
-            [(x + y) / root2 if x or y else x for x, y in pairs],
-            [(x - y) / root2 if x or y else x for x, y in pairs],
-        )
-
-    return _on_halves(state, mask, mix_divided)
+    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two())
 
 
 def gate_I(state: QState, n: int) -> QState:
@@ -125,7 +115,7 @@ def gate_CN(state: QState, c: int, n: int) -> QState:
         hi_lo, hi_hi = _split(hi, sub_mask)
         return lo, _merge(hi_hi, hi_lo, sub_mask)
 
-    return _on_halves(state, cmask, flip_where_set)
+    return _on_halves(state, cmask, flip_where_set, state.unit)
 
 
 def gate_M(state: QState, n: int, r) -> QState:
@@ -142,30 +132,18 @@ def gate_M(state: QState, n: int, r) -> QState:
         raise ValueError("random draw must lie in [0, 1]")
     mask = qubit_mask(state.nqubits, n)
     halves = [_split(lane, mask) for lane in state.lanes]
-    backend = state.backend
-    if state.unit is not None:
-        # p0 = Z / (Z + O) for the integer norm sums Z, O of the two sides
-        # (the common factor unit^2 > 0 cancels), so r < p0 iff
-        # r.den * Z - r.num * (Z + O) > 0: a sign test in Z[sqrt(2)]
-        zx, zy = lane_norm_sq(*(lo for lo, _ in halves))
-        ox, oy = lane_norm_sq(*(hi for _, hi in halves))
-        if not zx + ox:
-            raise ValueError("cannot measure the zero state")
-        u, v = r.numerator, r.denominator
-        test = QExt(v * zx - u * (zx + ox), v * zy - u * (zy + oy))
-        outcome = test.sign() <= 0
-        zero = 0
-    else:
-        (lo, hi), = halves
-        zero_side = sum((c.norm_sq() for c in lo if c), backend.zero)
-        total = sum((c.norm_sq() for c in hi if c), zero_side)
-        if backend.sign(total) == 0:
-            raise ValueError("cannot measure the zero state")
-        # ratio of squared norms: correct even on non-unit (deferred) states
-        p0 = zero_side / total
-        outcome = backend.sign(p0 - r) <= 0
-        zero = CScalar(backend.zero, backend.zero)
-    zeros = [zero] * (1 << (state.nqubits - 1))
+    # p0 = Z / (Z + O) for the integer norm sums Z, O of the two sides (the
+    # common factor unit^2 > 0 cancels, and so does scale_sq), so r < p0
+    # iff r.den * Z - r.num * (Z + O) > 0: a sign test in Z[sqrt(2)]
+    zx, zy = lane_norm_sq(*(lo for lo, _ in halves))
+    ox, oy = lane_norm_sq(*(hi for _, hi in halves))
+    if not zx + ox:
+        raise ValueError("cannot measure the zero state")
+    u, v = r.numerator, r.denominator
+    outcome = QExt(v * zx - u * (zx + ox), v * zy - u * (zy + oy)).sign() <= 0
+    zeros = [0] * (1 << (state.nqubits - 1))
     if outcome:
-        return state.with_lanes(_merge(zeros, hi, mask) for _, hi in halves)
-    return state.with_lanes(_merge(lo, zeros, mask) for lo, _ in halves)
+        lanes = (_merge(zeros, hi, mask) for _, hi in halves)
+    else:
+        lanes = (_merge(lo, zeros, mask) for lo, _ in halves)
+    return state.with_lanes(lanes, state.unit)

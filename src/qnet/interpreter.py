@@ -190,6 +190,9 @@ def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):
     and scale_sq unchanged.  Only M changes the norm.  The approximate
     backend's sqrt(2) and roots are rational stand-ins, so it still
     renormalizes after every gate.
+
+    A ValueError, ZeroDivisionError or IndexError from a gate or the
+    normalization after it is raised again with a "step N (GATE): " prefix.
     """
     if qstate.nqubits != circuit.nqubits:
         raise ValueError(
@@ -204,9 +207,12 @@ def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):
     every_gate = state.backend.normalizes_after_unitaries
     events: list[TraceEvent] = []
     for step, gate in enumerate(circuit.gates, start=1):
-        state, draw = _apply(gate, state, rs)
-        if every_gate or gate.kind == "M":
-            state = normalize(state)
+        try:
+            state, draw = _apply(gate, state, rs)
+            if every_gate or gate.kind == "M":
+                state = normalize(state)
+        except (ValueError, ZeroDivisionError, IndexError) as exc:
+            raise type(exc)(f"step {step} ({gate}): {exc}") from exc
         if record:
             events.append(TraceEvent(step, gate, state, draw))
     return state, tuple(events)

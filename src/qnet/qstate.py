@@ -8,13 +8,14 @@ expansion of i, qubit 0 being the most significant (leftmost) bit;
 configurations exist only where the text grammar needs them, when a
 state file is parsed and when a state is rendered.
 
-On the exact backend a state stores four tuples of Python ints, ``lanes =
-(re.a, re.b, im.a, im.b)``, and one factor ``unit`` in Q[sqrt(2)]:
+A state stores four tuples of Python ints, ``lanes = (re.a, re.b, im.a,
+im.b)``, and one backend scalar ``unit``:
 amps[i] = ((re.a[i] + re.b[i]*sqrt(2)) + i*(im.a[i] + im.b[i]*sqrt(2))) * unit.
 Gates do integer work only; common factors move from the integers into
 ``unit`` lazily (``QState.reduced``), in ``normalize`` and when the
-CScalar view ``amps`` is built.  On the approximate backend ``lanes``
-holds the CScalar coefficients themselves and ``unit`` is None.
+CScalar view ``amps`` is built.  On the exact backend ``unit`` is in
+Q[sqrt(2)]; on the approximate backend it is a rational and the sqrt(2)
+lanes re.b and im.b stay zero.
 
 States additionally carry ``scale_sq``, an exact squared scale factor:
 the physical amplitude at index i is amps[i] / sqrt(scale_sq).  In the
@@ -27,6 +28,7 @@ printed or extracted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -42,7 +44,6 @@ from .scalar import (
     EXACT,
     Backend,
     CScalar,
-    QExt,
     Scalar,
     format_cscalar,
     iter_sqrt,
@@ -109,21 +110,12 @@ class QState:
             raise ValueError("canonical state needs one coefficient per basis vector")
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
-        if backend.integer_lanes:
-            lanes, unit = _integer_lanes(backend.cscalar(c) for c in amps)
-        else:
-            lanes, unit = (amps,), None
+        lanes, unit = _integer_lanes((backend.cscalar(c) for c in amps), backend)
         self._init(nqubits, lanes, unit, scale_sq, backend)
 
     def _init(self, nqubits, lanes, unit, scale_sq, backend) -> None:
-        for name, value in (
-            ("nqubits", nqubits),
-            ("lanes", lanes),
-            ("unit", unit),
-            ("scale_sq", scale_sq),
-            ("backend", backend),
-            ("_amps", None),
-        ):
+        values = (nqubits, lanes, unit, scale_sq, backend, None)
+        for name, value in zip(QState.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -136,22 +128,19 @@ class QState:
     def __setattr__(self, name, value):
         raise AttributeError("QState is immutable")
 
-    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar | None = None) -> "QState":
-        """The same width, scale and backend over new lanes (and unit)."""
-        if unit is None:
-            unit = self.unit
+    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar) -> "QState":
+        """The same width, scale and backend over new lanes and unit."""
         return QState.from_lanes(self.nqubits, lanes, unit, self.scale_sq, self.backend)
 
     def reduced(self) -> "QState":
-        """An equal state whose integer lanes share no factor (exact backend).
+        """An equal state whose integer lanes share no factor.
 
         The gcd g of all integers moves into ``unit``; then, if every
         rational part is even, one sqrt(2) does too, because
         (a + b*sqrt(2)) / sqrt(2) = b + (a/2)*sqrt(2).  After the gcd step
-        some part is odd, so one sqrt(2) step is all there can be.
+        some part is odd, so one sqrt(2) step is all there can be (and on
+        the approximate backend, whose sqrt(2) lanes are zero, none).
         """
-        if self.unit is None:
-            return self
         lanes, unit = self.lanes, self.unit
         g = math.gcd(*lanes[0], *lanes[1], *lanes[2], *lanes[3])
         if g == 0:
@@ -172,11 +161,8 @@ class QState:
     def amps(self) -> tuple[CScalar, ...]:
         """The coefficients as CScalars, in basis-index order."""
         if self._amps is None:
-            if self.unit is None:
-                amps = self.lanes[0]
-            else:
-                reduced = self.reduced()
-                amps = _cscalars(reduced.lanes, reduced.unit)
+            reduced = self.reduced()
+            amps = _cscalars(reduced.lanes, reduced.unit, self.backend)
             object.__setattr__(self, "_amps", amps)
         return self._amps
 
@@ -220,34 +206,35 @@ class QState:
         return f"QState({' + '.join(nonzero) or '0'}, scale_sq={self.scale_sq!s})"
 
 
-def _integer_lanes(amps: Iterable[CScalar]) -> tuple[tuple, QExt]:
-    """Exact coefficients as four integer lanes over one common denominator."""
-    parts = [x for c in amps for x in (c.re.a, c.re.b, c.im.a, c.im.b)]
+def _integer_lanes(amps: Iterable[CScalar], backend: Backend) -> tuple[tuple, Scalar]:
+    """Coefficients as four integer lanes over one common denominator."""
+    parts = [x for c in amps for z in (c.re, c.im) for x in backend.parts(z)]
     den = math.lcm(*(x.denominator for x in parts))
     ints = [x.numerator * (den // x.denominator) for x in parts]
-    return tuple(tuple(ints[i::4]) for i in range(4)), QExt(Fraction(1, den))
+    lanes = tuple(tuple(ints[i::4]) for i in range(4))
+    return lanes, backend.from_fraction(Fraction(1, den))
 
 
-def _cscalars(lanes: tuple, unit: QExt) -> tuple[CScalar, ...]:
+def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
     """The CScalar value of every coefficient z * unit.
 
     With unit = (p + q*sqrt(2)) / s for integers p, q, s, a part
     a + b*sqrt(2) becomes ((a*p + 2*b*q) + (a*q + b*p)*sqrt(2)) / s.
     """
-    s = math.lcm(unit.a.denominator, unit.b.denominator)
-    p = unit.a.numerator * (s // unit.a.denominator)
-    q = unit.b.numerator * (s // unit.b.denominator)
+    ua, ub = backend.parts(unit)
+    s = math.lcm(ua.denominator, ub.denominator)
+    p = ua.numerator * (s // ua.denominator)
+    q = ub.numerator * (s // ub.denominator)
 
     def part(a, b):
-        return QExt(Fraction(a * p + 2 * b * q, s), Fraction(a * q + b * p, s))
+        x, y = a * p + 2 * b * q, a * q + b * p
+        return backend.from_parts(Fraction(x, s), Fraction(y, s))
 
+    zero = CScalar(backend.zero, backend.zero)
     return tuple(
-        CScalar(part(ra, rb), part(ia, ib)) if ra or rb or ia or ib else _ZERO
+        CScalar(part(ra, rb), part(ia, ib)) if ra or rb or ia or ib else zero
         for ra, rb, ia, ib in zip(*lanes)
     )
-
-
-_ZERO = CScalar(QExt(0), QExt(0))
 
 
 def lane_norm_sq(re_a, re_b, im_a, im_b) -> tuple[int, int]:
@@ -284,25 +271,19 @@ def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT
 
 def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
-    if state.unit is not None:
-        x, y = lane_norm_sq(*state.lanes)
-        return QExt(x, y) * (state.unit * state.unit)
-    total = state.backend.zero
-    for c in state.amps:
-        if c:
-            total = total + c.norm_sq()
-    return total
+    x, y = lane_norm_sq(*state.lanes)
+    return state.backend.from_parts(x, y) * (state.unit * state.unit)
 
 
 def normalize(state: QState) -> QState:
     """Scale a nonzero state to norm 1.
 
-    Exact backend: the lanes are reduced first, the squared norm becomes
-    the new scale_sq, then the in-field square root is attempted; on
-    success ``unit`` is divided by it (a root of exactly one leaves it as
-    it is) and scale_sq resets to 1 (fully normalized), otherwise the
-    scale stays deferred and the state is unit.  Approximate backend:
-    coefficients are divided by iter_sqrt of the squared norm.
+    The lanes are reduced first, then the backend's square root of the
+    squared norm is taken: in-field on the exact backend, ``iter_sqrt`` on
+    the approximate one.  On success ``unit`` is divided by it (a root of
+    exactly one leaves it as it is) and scale_sq resets to 1 (fully
+    normalized).  An exact root outside Q[sqrt(2)] is None: the squared
+    norm becomes the new scale_sq, deferred, and the lanes stay as they are.
     """
     state = state.reduced()
     nsq = norm_sq(state)
@@ -310,31 +291,43 @@ def normalize(state: QState) -> QState:
     if backend.sign(nsq) == 0:
         raise ValueError("cannot normalize the zero state")
     root = backend.sqrt(nsq)
-    lanes, unit = state.lanes, state.unit
     if root is None:
-        return QState.from_lanes(state.nqubits, lanes, unit, nsq, backend)
-    if root != backend.one:
-        if unit is None:
-            lanes = (tuple(c / root for c in lanes[0]),)
-        else:
-            unit = unit / root
-    return QState.from_lanes(state.nqubits, lanes, unit, backend.one, backend)
+        return QState.from_lanes(state.nqubits, state.lanes, state.unit, nsq, backend)
+    unit = state.unit if root == backend.one else state.unit / root
+    return QState.from_lanes(state.nqubits, state.lanes, unit, backend.one, backend)
 
 
 def tensor_product(a: QState, b: QState) -> QState:
-    """Combined state with a's qubits at the lower indices (leftmost bits)."""
+    """Combined state with a's qubits at the lower indices (leftmost bits).
+
+    Coefficient (i, j) is the product of a's i-th and b's j-th, taken on the
+    integer lanes in Z[sqrt(2)][i], with unit a.unit * b.unit.
+    """
     if a.backend != b.backend:
         raise ValueError("cannot tensor states from different backends")
     nqubits = a.nqubits + b.nqubits
     _check_width(nqubits)
-    amps = tuple(x * y for x in a.amps for y in b.amps)
-    return QState(nqubits, amps, a.scale_sq * b.scale_sq, a.backend)
+    ints = [_lane_product(x, y) for x in zip(*a.lanes) for y in zip(*b.lanes)]
+    return QState.from_lanes(
+        nqubits, zip(*ints), a.unit * b.unit, a.scale_sq * b.scale_sq, a.backend
+    )
+
+
+def _lane_product(x: tuple, y: tuple) -> tuple[int, int, int, int]:
+    """The product of two lane coefficients (re.a, re.b, im.a, im.b), by
+    (p + q*sqrt(2)) * (r + s*sqrt(2)) = (pr + 2qs) + (ps + qr)*sqrt(2)."""
+    ra, rb, ia, ib = x
+    sa, sb, ta, tb = y
+    return (
+        ra * sa + 2 * rb * sb - ia * ta - 2 * ib * tb,
+        ra * sb + rb * sa - ia * tb - ib * ta,
+        ra * ta + 2 * rb * tb + ia * sa + 2 * ib * sb,
+        ra * tb + rb * ta + ia * sb + ib * sa,
+    )
 
 
 def make_qubit(alpha: CScalar, beta: CScalar, backend: Backend = EXACT) -> QState:
     """One-qubit state alpha|0> + beta|1> with scale_sq = 1."""
-    alpha = backend.cscalar(alpha)
-    beta = backend.cscalar(beta)
     if not alpha and not beta:
         raise ValueError("qubit coefficients must not both be zero")
     return QState(1, (alpha, beta), backend.one, backend)
@@ -343,13 +336,9 @@ def make_qubit(alpha: CScalar, beta: CScalar, backend: Backend = EXACT) -> QStat
 def zero_qstate(nqubits: int, backend: Backend = EXACT) -> QState:
     """n-qubit state |0...0>."""
     _check_width(nqubits)
-    if backend.integer_lanes:
-        zeros = (0,) * (1 << nqubits)
-        lanes = ((1,) + zeros[1:], zeros, zeros, zeros)
-        return QState.from_lanes(nqubits, lanes, backend.one, backend.one, backend)
-    one = CScalar(backend.one, backend.zero)
-    zero = CScalar(backend.zero, backend.zero)
-    return QState(nqubits, (one,) + (zero,) * ((1 << nqubits) - 1), backend.one, backend)
+    zeros = (0,) * (1 << nqubits)
+    lanes = ((1,) + zeros[1:], zeros, zeros, zeros)
+    return QState.from_lanes(nqubits, lanes, backend.one, backend.one, backend)
 
 
 def get_deterministic_qubit(state: QState, n: int) -> bool:
@@ -369,31 +358,36 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
     The coefficients are viewed as a matrix over (other-qubit
     configuration, qubit-n value); the state is separable in qubit n iff
     that matrix has rank 1, checked exactly by cross-multiplying every
-    nonzero row against the first one, x*.  The result inherits the phase
-    of row x* and is scaled by the root of its squared norm, which in the
-    exact backend must exist in-field.
+    nonzero row against the first one, x*, on the integer lanes (the common
+    factor ``unit`` cancels).  The result is row x*'s lanes, so it inherits
+    that row's phase, with ``unit`` divided by the root of the row's squared
+    norm, which in the exact backend must exist in-field.
     """
     mask = qubit_mask(state.nqubits, n)
-    amps = state.amps
+    coeffs = list(zip(*state.lanes))
     rows = [
-        (amps[i], amps[i | mask])
-        for i in range(len(amps))
-        if not i & mask and (amps[i] or amps[i | mask])
+        (coeffs[i], coeffs[i | mask])
+        for i in range(len(coeffs))
+        if not i & mask and (any(coeffs[i]) or any(coeffs[i | mask]))
     ]
     if not rows:
         raise ValueError("zero state has no qubit substates")
     a0, a1 = rows[0]
     for x0, x1 in rows[1:]:
-        if x0 * a1 != x1 * a0:
+        if _lane_product(x0, a1) != _lane_product(x1, a0):
             raise EntangledError(
                 f"qubit {n} is entangled with the rest of the state"
             )
-    root = state.backend.sqrt(a0.norm_sq() + a1.norm_sq())
+    backend = state.backend
+    x, y = lane_norm_sq(*zip(a0, a1))
+    root = backend.sqrt(backend.from_parts(x, y) * (state.unit * state.unit))
     if root is None:
         raise NotRepresentableError(
             "the extracted qubit's scale has no exact representation"
         )
-    return make_qubit(a0 / root, a1 / root, backend=state.backend)
+    return QState.from_lanes(
+        1, zip(a0, a1), state.unit / root, backend.one, backend
+    )
 
 
 # --- state file format -------------------------------------------------------
@@ -440,17 +434,24 @@ def format_state(state: QState, sparse: bool = False) -> list[str]:
     """Render a state in the exact state-file grammar, one term per line.
 
     Fails when normalization is deferred: the physical amplitudes would
-    need a square root outside the scalar field.
+    need a square root outside the scalar field, and when an amplitude has
+    more digits than Python will convert from int to text.
     """
     if state.scale_sq != state.backend.one:
         raise NotRepresentableError(
             "amplitudes have a deferred scale and no exact rendering"
         )
-    return [
-        f"{format_cscalar(c)} | {basis_label(i, state.nqubits)}"
-        for i, c in enumerate(state.amps)
-        if c or not sparse
-    ]
+    try:
+        return [
+            f"{format_cscalar(c)} | {basis_label(i, state.nqubits)}"
+            for i, c in enumerate(state.amps)
+            if c or not sparse
+        ]
+    except ValueError:  # str(int) past sys.get_int_max_str_digits()
+        raise NotRepresentableError(
+            f"an exact amplitude has more than {sys.get_int_max_str_digits()}"
+            " digits, Python's limit for int-to-str conversion"
+        ) from None
 
 
 def physical_amplitudes(state: QState, tol) -> list[tuple[Fraction, Fraction]]:

@@ -396,14 +396,14 @@ def format_fixed(x, digits: int) -> str:
 UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
 
 
-# Each backend also carries three class constants: ``name`` (as printed),
+# Each backend also carries two class constants: ``name`` (as printed) and
 # ``normalizes_after_unitaries``, whether the interpreter must renormalize
-# after X, Z, H, I and CN as well as after M, and ``integer_lanes``,
-# whether a state stores its coefficients as integer lanes times one exact
-# factor (see ``qstate``) rather than as CScalars.  Exact arithmetic keeps
-# the squared norm of a state through every unitary gate, so there the
-# renormalization would return its input unchanged; rational stand-ins
-# for sqrt(2) and for square roots do not.
+# after X, Z, H, I and CN as well as after M.  Exact arithmetic keeps the
+# squared norm of a state through every unitary gate, so there the
+# renormalization would return its input unchanged; rational stand-ins for
+# sqrt(2) and for square roots do not.
+# ``parts`` and ``from_parts`` convert a backend scalar to and from the
+# rationals (a, b) of a + b*sqrt(2), for the integer lanes of ``qstate``.
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,6 @@ class ExactBackend:
 
     name = "exact"
     normalizes_after_unitaries = False
-    integer_lanes = True
 
     @property
     def zero(self) -> QExt:
@@ -427,6 +426,12 @@ class ExactBackend:
 
     def from_fraction(self, q) -> QExt:
         return QExt(q)
+
+    def parts(self, x: QExt) -> tuple[Fraction, Fraction]:
+        return x.a, x.b
+
+    def from_parts(self, a: Rational, b: Rational) -> QExt:
+        return QExt(a, b)
 
     def sqrt(self, x: QExt) -> QExt | None:
         return x.sqrt()
@@ -454,7 +459,6 @@ class ApproxBackend:
 
     name = "approx"
     normalizes_after_unitaries = True
-    integer_lanes = False
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -474,6 +478,12 @@ class ApproxBackend:
 
     def from_fraction(self, q) -> Fraction:
         return Fraction(q)
+
+    def parts(self, x: Fraction) -> tuple[Fraction, Fraction]:
+        return x, _FRACTION_ZERO
+
+    def from_parts(self, a: Rational, b: Rational) -> Fraction:
+        return self.from_qext(QExt(a, b)) if b else Fraction(a)
 
     def sqrt(self, x: Fraction) -> Fraction:
         return iter_sqrt(x, self.eps)
@@ -506,6 +516,7 @@ Backend = Union[ExactBackend, ApproxBackend]
 
 EXACT = ExactBackend()
 
+_FRACTION_ZERO = Fraction(0)
 _QEXT_ZERO = QExt(0)
 _QEXT_ONE = QExt(1)
 _QEXT_SQRT2 = QExt(0, 1)

@@ -255,6 +255,37 @@ class TestExitCodes:
         assert out == ""
         assert "--digits" in err
 
+    def test_exact_amplitude_past_the_int_string_limit_is_not_representable(
+        self, capsys, tmp_path
+    ):
+        # sqrt(2) at eps 10^-3000 has a denominator of about 10^6000
+        circuit = tmp_path / "h.qc"
+        circuit.write_text("qubits 2\nH 0\nCN 0 1\nH 1\nX 0\nH 0\n")
+        argv = [
+            "run", "--circuit", str(circuit), "--state", "zero:2",
+            "--backend", "approx", "--eps", "1/1" + "0" * 3000,
+        ]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+        assert "--backend approx or --emit decimal" in err
+        code, out, _ = run_cli(capsys, *argv, "--emit", "decimal", "--digits", "10")
+        assert code == 0
+        assert out.splitlines()[0] == "(0.7071067812, 0.0000000000) | 00"
+
+    def test_runtime_error_names_the_step_and_the_gate(self, capsys, tmp_path):
+        # the draw 1 selects the |1> branch, which has weight 0 on zero:1
+        circuit = tmp_path / "m.qc"
+        circuit.write_text("qubits 1\nM 0\n")
+        code, out, err = run_cli(
+            capsys,
+            "run", "--circuit", str(circuit), "--state", "zero:1", "--randoms", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "step 1 (M 0): cannot normalize the zero state" in err
+
     @pytest.mark.parametrize(
         "spec", ["qubit:(1,0),(0,1),(1,1)", "qubit:1,0", "qubit:(1,0)"]
     )

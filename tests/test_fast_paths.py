@@ -5,9 +5,11 @@ Each fast path is checked against the slower rule it replaces:
 - `QExt` division by d*sqrt(2) against the conjugate formula, which
   still serves every other divisor;
 - the closed-form `iter_sqrt` against the bisection loop it replaced;
-- the gates on a state's lanes (integer lanes times one exact factor on
-  the exact backend) against gates that work coefficient by coefficient
-  on CScalars, as qnet's gates did before the integer lanes.
+- the gates, `tensor_product` and `narrow_to_qubit` on a state's integer
+  lanes times one factor, on both backends, against code that works
+  coefficient by coefficient on CScalars, as qnet did before the integer
+  lanes.  These test-side copies are the only CScalar gate code left; they
+  serve as the oracle.
 
 `run_circuit`, which renormalizes only where the backend needs it, is
 checked against a fold that normalizes after every gate in
@@ -24,6 +26,8 @@ from qnet import (
     EXACT,
     ApproxBackend,
     CScalar,
+    EntangledError,
+    NotRepresentableError,
     QExt,
     QState,
     gate_CN,
@@ -34,12 +38,19 @@ from qnet import (
     gate_Z,
     iter_sqrt,
     make_qubit,
+    narrow_to_qubit,
     normalize,
     tensor_product,
     zero_qstate,
 )
 
-from support import rand_circuit_ops, rand_draws, rand_state, rand_unit_pair
+from support import (
+    rand_circuit_ops,
+    rand_cscalar,
+    rand_draws,
+    rand_state,
+    rand_unit_pair,
+)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 qexts = st.builds(QExt, small_fractions, small_fractions)
@@ -167,6 +178,12 @@ def outcome_of(state, q):
 BACKENDS = {"exact": EXACT, "approx": ApproxBackend(Fraction(1, 10**6))}
 
 
+def assert_sqrt2_lanes_zero(state):
+    # an approximate scalar is a rational, so its sqrt(2) parts are zero
+    if state.backend is BACKENDS["approx"]:
+        assert not any(state.lanes[1]) and not any(state.lanes[3])
+
+
 @pytest.mark.parametrize("name", BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 6), ngates=st.integers(0, 24))
@@ -196,6 +213,155 @@ def test_lane_gates_match_cscalar_gates(name, seed, nqubits, ngates):
             amps, scale_sq = cscalar_normalize(amps, backend)
         assert state.amps == amps
         assert state.scale_sq == scale_sq
+        assert_sqrt2_lanes_zero(state)
+
+
+# --- tensor_product and narrow_to_qubit on CScalar coefficients --------------------
+
+
+def cscalar_products(xs, ys):
+    """tensor_product on CScalars: every product x * y, x's index leftmost."""
+    return tuple(x * y for x in xs for y in ys)
+
+
+def cscalar_narrow(state, n):
+    """narrow_to_qubit on CScalars: the qubit's (alpha, beta), or the type of
+    the error it raises."""
+    mask = 1 << (state.nqubits - 1 - n)
+    amps = state.amps
+    rows = [
+        (amps[i], amps[i | mask])
+        for i in range(len(amps))
+        if not i & mask and (amps[i] or amps[i | mask])
+    ]
+    if not rows:
+        return ValueError
+    a0, a1 = rows[0]
+    if any(x0 * a1 != x1 * a0 for x0, x1 in rows[1:]):
+        return EntangledError
+    root = state.backend.sqrt(a0.norm_sq() + a1.norm_sq())
+    if root is None:
+        return NotRepresentableError
+    return a0 / root, a1 / root
+
+
+_PHASES = (
+    CScalar(QExt(1)),
+    CScalar(QExt(-1)),
+    CScalar(QExt(0), QExt(1)),
+    CScalar(QExt(0), QExt(-1)),
+)
+
+
+def factor_amps(rng, nqubits, backend):
+    """Coefficients of a random unnormalized factor state: phases 1, -1, i,
+    -i and zeros (so a product keeps an in-field row norm), or random
+    Q[sqrt(2)](i) values; on the approximate backend, its rationals."""
+    if rng.random() < 0.5:
+        amps = [rng.choice(_PHASES + (CScalar(QExt(0)),)) for _ in range(1 << nqubits)]
+    else:
+        amps = [rand_cscalar(rng) for _ in range(1 << nqubits)]
+    if not any(amps):
+        amps[0] = _PHASES[0]
+    return tuple(backend.cscalar(c) for c in amps)
+
+
+def lane_state(nqubits, amps, backend, rng):
+    """A state over `amps`, normalized (often deferred on the exact backend)
+    half of the time."""
+    state = QState(nqubits, amps, backend.one, backend)
+    if any(amps) and rng.random() < 0.5:
+        state = normalize(state)
+    return state
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), na=st.integers(1, 3), nb=st.integers(1, 3))
+def test_lane_tensor_matches_cscalar_products(name, seed, na, nb):
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    a = lane_state(na, factor_amps(rng, na, backend), backend, rng)
+    b = lane_state(nb, factor_amps(rng, nb, backend), backend, rng)
+    out = tensor_product(a, b)
+    assert out.amps == cscalar_products(a.amps, b.amps)
+    assert out.scale_sq == a.scale_sq * b.scale_sq
+    assert_sqrt2_lanes_zero(out)
+
+
+def narrow_input(rng, kind, left, right, backend):
+    """A (left + 1 + right)-qubit state to narrow to qubit `left`: a product
+    around one qubit, a random state (almost always entangled), or zero."""
+    nqubits = left + 1 + right
+    if kind == "zero":
+        amps = (CScalar(backend.zero, backend.zero),) * (1 << nqubits)
+    elif kind == "random":
+        amps = factor_amps(rng, nqubits, backend)
+    else:
+        if rng.random() < 0.5:
+            pair = rand_unit_pair(rng)
+        else:
+            pair = (rand_cscalar(rng), rand_cscalar(rng))
+        qubit = tuple(backend.cscalar(c) for c in pair)
+        if not any(qubit):
+            qubit = factor_amps(rng, 1, backend)
+        amps = cscalar_products(
+            cscalar_products(factor_amps(rng, left, backend), qubit),
+            factor_amps(rng, right, backend),
+        )
+    return lane_state(nqubits, amps, backend, rng)
+
+
+def check_narrow(state, n):
+    """narrow_to_qubit agrees with the CScalar narrowing; returns the outcome."""
+    expected = cscalar_narrow(state, n)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            narrow_to_qubit(state, n)
+        return expected
+    out = narrow_to_qubit(state, n)
+    assert out.amps == expected
+    assert out.scale_sq == state.backend.one
+    assert_sqrt2_lanes_zero(out)
+    return "qubit"
+
+
+NARROW_KINDS = ("product", "random", "zero")
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(NARROW_KINDS),
+    left=st.integers(0, 2),
+    right=st.integers(0, 2),
+)
+def test_lane_narrow_matches_cscalar_narrow(name, seed, kind, left, right):
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    check_narrow(narrow_input(rng, kind, left, right, backend), left)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_narrow_inputs_reach_every_outcome(name):
+    # the inputs above reach each outcome, deferred states included; the
+    # approximate backend has a root for every norm
+    backend = BACKENDS[name]
+    outcomes, deferred = set(), set()
+    rng = random.Random(7)
+    for _ in range(120):
+        left, right = rng.randrange(3), rng.randrange(3)
+        state = narrow_input(rng, rng.choice(NARROW_KINDS), left, right, backend)
+        outcome = check_narrow(state, left)
+        outcomes.add(outcome)
+        if state.scale_sq != backend.one:
+            deferred.add(outcome)
+    expected = {"qubit", EntangledError, ValueError}
+    if name == "exact":
+        expected.add(NotRepresentableError)
+        assert {"qubit", EntangledError, NotRepresentableError} <= deferred
+    assert outcomes == expected
 
 
 def normalized_state(rng):

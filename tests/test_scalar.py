@@ -276,6 +276,8 @@ class TestBackends:
         assert EXACT.sign(QExt(1, -1)) == -1
         assert EXACT.sqrt_two() == QExt(0, 1)
         assert EXACT.from_fraction(F(2, 3)) == QExt(F(2, 3))
+        assert EXACT.parts(QExt(F(1, 2), -3)) == (F(1, 2), F(-3))
+        assert EXACT.from_parts(F(1, 2), -3) == QExt(F(1, 2), -3)
 
     def test_approx_surface(self):
         backend = ApproxBackend(F(1, 10**9))
@@ -284,6 +286,10 @@ class TestBackends:
         assert abs(backend.sqrt(F(2)) - SQRT2_HP) <= F(1, 10**9)
         assert backend.sqrt_two() == backend.sqrt(F(2))
         assert abs(backend.from_qext(QExt(1, 1)) - (1 + SQRT2_HP)) <= F(1, 10**9)
+        assert backend.parts(F(2, 3)) == (F(2, 3), 0)
+        assert backend.from_parts(F(2, 3), 0) == F(2, 3)
+        assert type(backend.from_parts(5, 0)) is F
+        assert backend.from_parts(1, 1) == backend.from_qext(QExt(1, 1))
 
     def test_approx_requires_positive_eps(self):
         with pytest.raises(ValueError):
