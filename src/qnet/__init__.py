@@ -53,6 +53,7 @@ from .scalar import (
     parse_cscalar,
     parse_qext,
     parse_rational,
+    to_backend,
 )
 from .teleport import (
     AliceResult,
@@ -112,6 +113,7 @@ __all__ = [
     "teleport_bob",
     "teleport_protocol",
     "tensor_product",
+    "to_backend",
     "verify_teleportation",
     "zero_qstate",
 ]

@@ -49,6 +49,7 @@ from .scalar import (
     format_fixed,
     parse_cscalar,
     parse_rational,
+    to_backend,
 )
 from .teleport import (
     DEFAULT_INPUTS,
@@ -98,8 +99,8 @@ def _initial_state(spec: str, backend: Backend) -> QState:
         parts = re.split(r"(?<=\))\s*,", spec[len("qubit:") :])
         if len(parts) != 2:
             raise ParseError(f"bad initial state {spec!r}: expected two cplx literals")
-        alpha = backend.cscalar(parse_cscalar(parts[0]))
-        beta = backend.cscalar(parse_cscalar(parts[1]))
+        alpha = to_backend(parse_cscalar(parts[0]), backend)
+        beta = to_backend(parse_cscalar(parts[1]), backend)
         return make_qubit(alpha, beta, backend)
     return parse_state(_read(spec), backend)
 
@@ -164,8 +165,8 @@ def cmd_run(args) -> int:
 
 def cmd_teleport(args) -> int:
     backend = _backend_from_args(args)
-    alpha = backend.cscalar(parse_cscalar(args.alpha))
-    beta = backend.cscalar(parse_cscalar(args.beta))
+    alpha = to_backend(parse_cscalar(args.alpha), backend)
+    beta = to_backend(parse_cscalar(args.beta), backend)
     r1 = parse_rational(args.r1)
     r2 = parse_rational(args.r2)
     final = teleport_protocol(alpha, beta, r1, r2, backend)

@@ -92,7 +92,7 @@ def _mix(lo, hi):
 def gate_H(state: QState, n: int) -> QState:
     """Hadamard: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on qubit n."""
     mask = qubit_mask(state.nqubits, n)
-    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two())
+    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two)
 
 
 def gate_I(state: QState, n: int) -> QState:

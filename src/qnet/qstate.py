@@ -45,9 +45,11 @@ from .scalar import (
     Backend,
     CScalar,
     Scalar,
+    approx_of_parts,
     format_cscalar,
     iter_sqrt,
     parse_cscalar,
+    to_backend,
 )
 
 # Dense coefficient vector: 2^n amplitudes per state.  Raise at your own risk.
@@ -110,7 +112,7 @@ class QState:
             raise ValueError("canonical state needs one coefficient per basis vector")
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
-        lanes, unit = _integer_lanes((backend.cscalar(c) for c in amps), backend)
+        lanes, unit = _integer_lanes((to_backend(c, backend) for c in amps), backend)
         self._init(nqubits, lanes, unit, scale_sq, backend)
 
     def _init(self, nqubits, lanes, unit, scale_sq, backend) -> None:
@@ -152,7 +154,7 @@ class QState:
         if not any(x & 1 for x in re_a) and not any(x & 1 for x in im_a):
             half_re_a = tuple(x >> 1 for x in re_a)
             lanes = (re_b, half_re_a, im_b, tuple(x >> 1 for x in im_a))
-            unit = unit * self.backend.sqrt_two()
+            unit = unit * self.backend.sqrt_two
         if lanes is self.lanes:
             return self
         return self.with_lanes(lanes, unit)
@@ -212,7 +214,7 @@ def _integer_lanes(amps: Iterable[CScalar], backend: Backend) -> tuple[tuple, Sc
     den = math.lcm(*(x.denominator for x in parts))
     ints = [x.numerator * (den // x.denominator) for x in parts]
     lanes = tuple(tuple(ints[i::4]) for i in range(4))
-    return lanes, backend.from_fraction(Fraction(1, den))
+    return lanes, backend.from_parts(Fraction(1, den), 0)
 
 
 def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
@@ -408,7 +410,7 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
         if len(parts) != 2:
             raise ParseError("expected 'cplx | bitstring'", line=lineno)
         try:
-            coeff = backend.cscalar(parse_cscalar(parts[0]))
+            coeff = to_backend(parse_cscalar(parts[0]), backend)
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
         bits_text = parts[1].strip()
@@ -455,18 +457,29 @@ def format_state(state: QState, sparse: bool = False) -> list[str]:
 
 
 def physical_amplitudes(state: QState, tol) -> list[tuple[Fraction, Fraction]]:
-    """Per-basis-vector (re, im) rationals approximating coeff / sqrt(scale_sq)."""
-    tol = Fraction(tol)
-    guard = tol / 8
+    """Per-basis-vector (re, im) rationals approximating coeff / sqrt(scale_sq).
+
+    The parts and the root are approximated to one absolute guard, which
+    a small root would magnify, so the quotient is taken as
+    (2^k * coeff) / sqrt(4^k * scale_sq) for the least k >= 0 that puts
+    4^k * scale_sq at 1 or above.  Approximating coeff to guard / 2^k is
+    approximating 2^k * coeff to guard.
+    """
+    backend = state.backend
+    k, scale_sq = 0, state.scale_sq
+    while backend.sign(scale_sq - 1) < 0:
+        k, scale_sq = k + 1, scale_sq * 4
+    guard = Fraction(tol) / 8
+    fine = guard / (1 << k)
     parts = [
         (
-            state.backend.as_fraction(c.re, guard),
-            state.backend.as_fraction(c.im, guard),
+            approx_of_parts(*backend.parts(c.re), fine),
+            approx_of_parts(*backend.parts(c.im), fine),
         )
         for c in state.amps
     ]
-    if state.scale_sq == state.backend.one:
+    if state.scale_sq == backend.one:
         return parts
-    scale = state.backend.as_fraction(state.scale_sq, guard)
-    root = iter_sqrt(scale, guard)
+    scale = approx_of_parts(*backend.parts(scale_sq), guard)
+    root = iter_sqrt(scale, guard) / (1 << k)
     return [(re / root, im / root) for re, im in parts]

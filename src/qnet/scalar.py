@@ -7,9 +7,11 @@ set needs (the H gate only ever divides by sqrt(2)) and admits exact sign
 tests, so measurement thresholds never need approximation.  The
 approximate backend uses plain rationals and ``iter_sqrt``.
 
-Both backends expose the same surface (construction, sqrt, sign,
-rendering) through :class:`ExactBackend` / :class:`ApproxBackend` so the
-state, gate, and interpreter modules stay backend-agnostic.
+A backend, :class:`ExactBackend` or :class:`ApproxBackend`, is its field
+and nothing more: the constants zero, one and sqrt(2), the conversion of a
+scalar to and from its rational parts (a, b), and sign and sqrt.  The
+state, gate, and interpreter modules use only that, so they stay
+backend-agnostic; ``to_backend`` moves a complex scalar between backends.
 """
 
 from __future__ import annotations
@@ -292,18 +294,22 @@ def iter_sqrt(x, e) -> Fraction:
     return Fraction((2 * k + 1) * wn, wd << (m + 1))
 
 
-def approx_of_qext(x: QExt, e) -> Fraction:
+def approx_of_parts(a: Rational, b: Rational, e) -> Fraction:
     """Rational approximation of a + b*sqrt(2) with total error <= e.
 
     The sqrt(2) tolerance is tightened by |b| so the scaled error still
     fits the budget; pure rationals pass through unchanged.
     """
-    e = Fraction(e)
-    if e <= 0:
+    if not b:
+        return Fraction(a)
+    return a + b * iter_sqrt(2, Fraction(e) / max(1, abs(b)))
+
+
+def approx_of_qext(x: QExt, e) -> Fraction:
+    """``approx_of_parts`` of a QExt's parts."""
+    if Fraction(e) <= 0:
         raise ValueError("tolerance must be positive")
-    if x.b == 0:
-        return x.a
-    return x.a + x.b * iter_sqrt(2, e / max(Fraction(1), abs(x.b)))
+    return approx_of_parts(x.a, x.b, e)
 
 
 # --- scalar literal grammar ------------------------------------------------
@@ -396,14 +402,12 @@ def format_fixed(x, digits: int) -> str:
 UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
 
 
-# Each backend also carries two class constants: ``name`` (as printed) and
-# ``normalizes_after_unitaries``, whether the interpreter must renormalize
-# after X, Z, H, I and CN as well as after M.  Exact arithmetic keeps the
-# squared norm of a state through every unitary gate, so there the
-# renormalization would return its input unchanged; rational stand-ins for
-# sqrt(2) and for square roots do not.
-# ``parts`` and ``from_parts`` convert a backend scalar to and from the
-# rationals (a, b) of a + b*sqrt(2), for the integer lanes of ``qstate``.
+# A backend is its scalar field.  The interpreter renormalizes after X, Z,
+# H, I and CN as well as after M where ``normalizes_after_unitaries`` is
+# set: exact arithmetic keeps the squared norm of a state through every
+# unitary gate, rational stand-ins for sqrt(2) and for square roots do not.
+# ``parts`` and ``from_parts`` convert a scalar to and from the rationals
+# (a, b) of a + b*sqrt(2); every conversion goes through them.
 
 
 @dataclass(frozen=True)
@@ -412,20 +416,9 @@ class ExactBackend:
 
     name = "exact"
     normalizes_after_unitaries = False
-
-    @property
-    def zero(self) -> QExt:
-        return _QEXT_ZERO
-
-    @property
-    def one(self) -> QExt:
-        return _QEXT_ONE
-
-    def from_qext(self, x: QExt) -> QExt:
-        return x
-
-    def from_fraction(self, q) -> QExt:
-        return QExt(q)
+    zero = QExt(0)
+    one = QExt(1)
+    sqrt_two = QExt(0, 1)
 
     def parts(self, x: QExt) -> tuple[Fraction, Fraction]:
         return x.a, x.b
@@ -433,22 +426,11 @@ class ExactBackend:
     def from_parts(self, a: Rational, b: Rational) -> QExt:
         return QExt(a, b)
 
-    def sqrt(self, x: QExt) -> QExt | None:
-        return x.sqrt()
-
     def sign(self, x: QExt) -> int:
         return x.sign()
 
-    def sqrt_two(self) -> QExt:
-        return _QEXT_SQRT2
-
-    def as_fraction(self, x: QExt, tol) -> Fraction:
-        return approx_of_qext(x, tol)
-
-    def cscalar(self, z: CScalar) -> CScalar:
-        if isinstance(z.re, QExt):
-            return z
-        return CScalar(QExt(z.re), QExt(z.im))
+    def sqrt(self, x: QExt) -> QExt | None:
+        return x.sqrt()
 
 
 @dataclass(frozen=True)
@@ -459,64 +441,47 @@ class ApproxBackend:
 
     name = "approx"
     normalizes_after_unitaries = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    @cached_property
+    def sqrt_two(self) -> Fraction:
+        return iter_sqrt(2, self.eps)
 
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_qext(self, x: QExt) -> Fraction:
-        return approx_of_qext(x, self.eps)
-
-    def from_fraction(self, q) -> Fraction:
-        return Fraction(q)
-
-    def parts(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        return x, _FRACTION_ZERO
+    def parts(self, x: Fraction) -> tuple[Fraction, int]:
+        return x, 0
 
     def from_parts(self, a: Rational, b: Rational) -> Fraction:
-        return self.from_qext(QExt(a, b)) if b else Fraction(a)
-
-    def sqrt(self, x: Fraction) -> Fraction:
-        return iter_sqrt(x, self.eps)
+        """The one place an exact value is rounded: to within eps."""
+        return approx_of_parts(a, b, self.eps)
 
     def sign(self, x: Fraction) -> int:
         return (x > 0) - (x < 0)
 
-    @cached_property
-    def _sqrt_two(self) -> Fraction:
-        return iter_sqrt(2, self.eps)
-
-    def sqrt_two(self) -> Fraction:
-        return self._sqrt_two
-
-    def as_fraction(self, x: Fraction, tol) -> Fraction:
-        return x
+    def sqrt(self, x: Fraction) -> Fraction:
+        return iter_sqrt(x, self.eps)
 
     @property
     def check_tol(self) -> Fraction:
         """How far an amplitude may stray from its ideal value in a check."""
         return max(self.eps, UNIT_HYPOTHESIS_TOL)
 
-    def cscalar(self, z: CScalar) -> CScalar:
-        if isinstance(z.re, Fraction):
-            return z
-        return CScalar(self.from_qext(z.re), self.from_qext(z.im))
-
 
 Backend = Union[ExactBackend, ApproxBackend]
 
 EXACT = ExactBackend()
 
-_FRACTION_ZERO = Fraction(0)
-_QEXT_ZERO = QExt(0)
-_QEXT_ONE = QExt(1)
-_QEXT_SQRT2 = QExt(0, 1)
+
+def to_backend(z: CScalar, backend: Backend) -> CScalar:
+    """z with parts of the backend's scalar type: z itself when it has them,
+    else each part rebuilt by ``backend.from_parts``."""
+    if type(z.re) is type(backend.one):
+        return z
+    # the other backend's scalar: a QExt, or a rational with no sqrt(2) part
+    re, im = ((x.a, x.b) if isinstance(x, QExt) else (x, 0) for x in (z.re, z.im))
+    return CScalar(backend.from_parts(*re), backend.from_parts(*im))

@@ -21,7 +21,7 @@ from .qstate import (
     tensor_product,
     zero_qstate,
 )
-from .scalar import EXACT, ApproxBackend, Backend, CScalar, QExt, format_cscalar
+from .scalar import EXACT, ApproxBackend, Backend, CScalar, QExt, format_cscalar, to_backend
 
 ALICE_CIRCUIT = Circuit(
     (
@@ -74,8 +74,8 @@ def teleport_alice(
     alpha: CScalar, beta: CScalar, r1, r2, backend: Backend = EXACT
 ) -> AliceResult:
     """Run Alice's six-gate circuit on (alpha, beta) tensored with |00>."""
-    alpha = backend.cscalar(alpha)
-    beta = backend.cscalar(beta)
+    alpha = to_backend(alpha, backend)
+    beta = to_backend(beta, backend)
     _check_unit_hypothesis(alpha, beta, backend)
     initial = tensor_product(
         make_qubit(alpha, beta, backend), zero_qstate(2, backend)
@@ -187,8 +187,8 @@ def verify_teleportation(
     cases: list[TeleportCase] = []
     index = 0
     for alpha, beta in inputs:
-        alpha = backend.cscalar(alpha)
-        beta = backend.cscalar(beta)
+        alpha = to_backend(alpha, backend)
+        beta = to_backend(beta, backend)
         for r1, r2 in BRANCH_DRAWS:
             problems: list[str] = []
             alice = teleport_alice(alpha, beta, r1, r2, backend)

@@ -1,4 +1,5 @@
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -6,12 +7,25 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qnet import CScalar, QExt, make_qubit, parse_state, tensor_product, zero_qstate
-from qnet.cli import main
+from qnet import (
+    CScalar,
+    QExt,
+    RandomStream,
+    make_qubit,
+    parse_circuit,
+    parse_state,
+    run_circuit,
+    tensor_product,
+    zero_qstate,
+)
+from qnet.cli import main, render_state
 from qnet.gates import gate_CN, gate_H
+from qnet.qstate import basis_label
+from qnet.scalar import format_cscalar
 
-from support import SQRT2_HP
+from support import SQRT2_HP, rand_state
 
 FIG1 = "qubits 2\nH 0\nCN 0 1\n"
 
@@ -343,6 +357,80 @@ class TestExitCodes:
             assert out == ""
             assert "--qubits" in err
             assert "line" not in err and "cannot read" not in err
+
+
+def last_digit_units(line: str) -> tuple[int, int]:
+    """The two decimals of a '(re, im) | bits' line, in units of the last digit."""
+    re, im = line.split("|")[0].strip()[1:-1].split(",")
+    return tuple(int(x.strip().replace(".", "")) for x in (re, im))
+
+
+class TestDecimalDeferredScale:
+    """--emit decimal on states whose deferred scale_sq is far below 1."""
+
+    def test_many_deferred_measurements(self, capsys, tmp_path):
+        # each H, M pair defers and multiplies scale_sq by the branch share
+        circuit = tmp_path / "hm.qc"
+        circuit.write_text("qubits 2\n" + "H 1\nM 1\n" * 60)
+        state = tmp_path / "12.qs"
+        state.write_text("(1, 0) | 00\n(2, 0) | 10\n")
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--circuit", str(circuit), "--state", str(state),
+            "--randoms", ",".join(["1/4"] * 60), "--emit", "decimal", "--digits", "6",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "(0.447214, 0.000000) | 00",
+            "(0.000000, 0.000000) | 01",
+            "(0.894427, 0.000000) | 10",
+            "(0.000000, 0.000000) | 11",
+        ]
+
+    def test_tiny_coefficients(self, capsys, tmp_path):
+        circuit = tmp_path / "i.qc"
+        circuit.write_text("qubits 1\nI 0\n")
+        state = tmp_path / "tiny.qs"
+        state.write_text(f"(1/{10**20}, 0) | 0\n(2/{10**20}, 0) | 1\n")
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--circuit", str(circuit), "--state", str(state),
+            "--emit", "decimal", "--digits", "6",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "(0.447214, 0.000000) | 0",
+            "(0.894427, 0.000000) | 1",
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        nqubits=st.integers(1, 3),
+        factor=st.builds(
+            lambda p, q, e: F(p, q) * F(10) ** e,
+            st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-40, 40),
+        ),
+    )
+    def test_scaling_the_state_file_keeps_the_decimal_output(self, seed, nqubits, factor):
+        # the physical state, every M share and so every amplitude are the
+        # same; only the guard's rounding may move the last digit by one
+        rng = random.Random(seed)
+        state = rand_state(rng, nqubits)
+        circuit = parse_circuit(f"H 0\nM {nqubits - 1}\nH {nqubits - 1}", nqubits)
+
+        def render(by):
+            text = "".join(
+                f"{format_cscalar(c * by)} | {basis_label(i, nqubits)}\n"
+                for i, c in enumerate(state.amps)
+            )
+            final = run_circuit(circuit, parse_state(text), RandomStream([F(1, 3)]))
+            return render_state(final, "decimal", 6, sparse=False)
+
+        plain, scaled = render(CScalar(QExt(1))), render(CScalar(QExt(factor)))
+        assert [line.split("|")[1] for line in plain] == [line.split("|")[1] for line in scaled]
+        for a, b in zip(plain, scaled):
+            assert all(abs(x - y) <= 1 for x, y in zip(last_digit_units(a), last_digit_units(b)))
 
 
 class TestTrace:

@@ -41,6 +41,7 @@ from qnet import (
     narrow_to_qubit,
     normalize,
     tensor_product,
+    to_backend,
     zero_qstate,
 )
 
@@ -132,7 +133,7 @@ def cscalar_gate(amps, nqubits, backend, op, draw=None):
     if kind == "Z":
         return tuple(-c if i & mask else c for i, c in enumerate(amps)), None
     if kind == "H":
-        root2 = backend.sqrt_two()
+        root2 = backend.sqrt_two
         out = list(amps)
         for i in range(len(amps)):
             if not i & mask:
@@ -194,7 +195,7 @@ def test_lane_gates_match_cscalar_gates(name, seed, nqubits, ngates):
     backend = BACKENDS[name]
     rng = random.Random(seed)
     start = rand_state(rng, nqubits)
-    amps = tuple(backend.cscalar(c) for c in start.amps)
+    amps = tuple(to_backend(c, backend) for c in start.amps)
     ops = rand_circuit_ops(rng, nqubits, ngates)
     draws = rand_draws(rng, len(ops))
     state = normalize(QState(nqubits, amps, backend.one, backend))
@@ -263,7 +264,7 @@ def factor_amps(rng, nqubits, backend):
         amps = [rand_cscalar(rng) for _ in range(1 << nqubits)]
     if not any(amps):
         amps[0] = _PHASES[0]
-    return tuple(backend.cscalar(c) for c in amps)
+    return tuple(to_backend(c, backend) for c in amps)
 
 
 def lane_state(nqubits, amps, backend, rng):
@@ -302,7 +303,7 @@ def narrow_input(rng, kind, left, right, backend):
             pair = rand_unit_pair(rng)
         else:
             pair = (rand_cscalar(rng), rand_cscalar(rng))
-        qubit = tuple(backend.cscalar(c) for c in pair)
+        qubit = tuple(to_backend(c, backend) for c in pair)
         if not any(qubit):
             qubit = factor_amps(rng, 1, backend)
         amps = cscalar_products(

@@ -26,7 +26,7 @@ from qnet import (
 )
 from qnet.errors import ParseError, RandomStreamExhausted
 from qnet.qstate import QState, index_to_bits
-from qnet.scalar import EXACT, ApproxBackend
+from qnet.scalar import EXACT, ApproxBackend, to_backend
 
 from support import (
     ops_to_circuit,
@@ -265,7 +265,7 @@ class TestEvaluationProperties:
                 circuit = ops_to_circuit(ops, nqubits)
                 draws = rand_draws(rng, count_measurements(circuit))
                 exact = rand_state(rng, nqubits)
-                amps = tuple(backend.cscalar(c) for c in exact.amps)
+                amps = tuple(to_backend(c, backend) for c in exact.amps)
                 state = QState(nqubits, amps, backend.one, backend)
                 expected = manual_fold(circuit, state, draws)
                 got = run_circuit(circuit, state, RandomStream(draws))

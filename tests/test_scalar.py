@@ -8,12 +8,14 @@ from qnet.errors import ParseError
 from qnet.scalar import (
     ApproxBackend,
     EXACT,
+    ExactBackend,
     format_cscalar,
     format_fixed,
     format_qext,
     parse_cscalar,
     parse_qext,
     parse_rational,
+    to_backend,
 )
 
 from support import SQRT2_HP, rand_cscalar, rand_fraction, rand_qext
@@ -269,13 +271,30 @@ class TestFormatFixed:
         assert format_fixed(F(0), 2) == "0.00"
 
 
+def public_members(cls) -> set[str]:
+    return {name for name in vars(cls) if not name.startswith("_")}
+
+
+FIELD_MEMBERS = {
+    "name", "normalizes_after_unitaries", "zero", "one", "sqrt_two",
+    "parts", "from_parts", "sign", "sqrt",
+}
+
+
 class TestBackends:
+    def test_exact_members_are_its_field(self):
+        assert public_members(ExactBackend) == FIELD_MEMBERS
+
+    def test_approx_members_are_its_field_plus_tolerances(self):
+        assert public_members(ApproxBackend) == FIELD_MEMBERS | {"eps", "check_tol"}
+
     def test_exact_surface(self):
         assert EXACT.sqrt(QExt(3)) is None
         assert EXACT.sqrt(QExt(F(1, 2))) == QExt(0, F(1, 2))
         assert EXACT.sign(QExt(1, -1)) == -1
-        assert EXACT.sqrt_two() == QExt(0, 1)
-        assert EXACT.from_fraction(F(2, 3)) == QExt(F(2, 3))
+        assert EXACT.sqrt_two == QExt(0, 1)
+        assert (EXACT.zero, EXACT.one) == (QExt(0), QExt(1))
+        assert EXACT.from_parts(F(2, 3), 0) == QExt(F(2, 3))
         assert EXACT.parts(QExt(F(1, 2), -3)) == (F(1, 2), F(-3))
         assert EXACT.from_parts(F(1, 2), -3) == QExt(F(1, 2), -3)
 
@@ -284,12 +303,34 @@ class TestBackends:
         assert backend.sign(F(-1, 3)) == -1
         assert backend.sign(F(0)) == 0
         assert abs(backend.sqrt(F(2)) - SQRT2_HP) <= F(1, 10**9)
-        assert backend.sqrt_two() == backend.sqrt(F(2))
-        assert abs(backend.from_qext(QExt(1, 1)) - (1 + SQRT2_HP)) <= F(1, 10**9)
+        assert backend.sqrt_two == backend.sqrt(F(2))
+        assert (backend.zero, backend.one) == (0, 1)
+        assert abs(backend.from_parts(1, 1) - (1 + SQRT2_HP)) <= F(1, 10**9)
         assert backend.parts(F(2, 3)) == (F(2, 3), 0)
         assert backend.from_parts(F(2, 3), 0) == F(2, 3)
         assert type(backend.from_parts(5, 0)) is F
-        assert backend.from_parts(1, 1) == backend.from_qext(QExt(1, 1))
+        assert backend.from_parts(1, 1) == approx_of_qext(QExt(1, 1), backend.eps)
+
+    def test_to_backend_returns_same_backend_input_unchanged(self):
+        exact = CScalar(QExt(1, 2), QExt(F(-1, 3)))
+        approx = CScalar(F(1, 3), F(-2, 5))
+        assert to_backend(exact, EXACT) is exact
+        assert to_backend(approx, ApproxBackend()) is approx
+
+    def test_to_backend_rounds_exact_parts_like_approx_of_qext(self):
+        backend = ApproxBackend(F(1, 10**6))
+        rng = random.Random(41)
+        for _ in range(100):
+            z = rand_cscalar(rng)
+            got = to_backend(z, backend)
+            assert type(got.re) is type(got.im) is F
+            assert got.re == approx_of_qext(z.re, backend.eps)
+            assert got.im == approx_of_qext(z.im, backend.eps)
+
+    def test_to_backend_lifts_rational_parts_to_exact(self):
+        got = to_backend(CScalar(F(2, 3), F(-1, 7)), EXACT)
+        assert type(got.re) is type(got.im) is QExt
+        assert got == CScalar(QExt(F(2, 3)), QExt(F(-1, 7)))
 
     def test_approx_requires_positive_eps(self):
         with pytest.raises(ValueError):
