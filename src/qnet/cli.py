@@ -7,10 +7,12 @@ Subcommands:
     teleport         run the teleportation protocol on one input qubit
     verify-teleport  run the built-in teleportation verification suite
 
-Exit codes: 0 success, 2 parse/validation error (a runtime domain error
-from a gate names the step and the gate), 3 exact rendering hit a
-non-representable amplitude or one with more digits than Python converts
-from int to text, 4 random stream exhausted, 5 teleportation check failed.
+Exit codes: 0 success, 1 stdout closed before the output was written (a
+pipe whose reader left, as in ``qnet run ... | head -1``; no traceback),
+2 parse/validation error (a runtime domain error from a gate names the
+step and the gate), 3 exact rendering hit a non-representable amplitude or
+one with more digits than Python converts from int to text, 4 random
+stream exhausted, 5 teleportation check failed.
 Output is deterministic: identical invocations produce byte-identical
 output.
 """
@@ -18,6 +20,8 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -47,6 +51,7 @@ from .scalar import (
     Backend,
     format_cscalar,
     format_fixed,
+    format_scaled,
     parse_cscalar,
     parse_rational,
     to_backend,
@@ -59,6 +64,7 @@ from .teleport import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_NOT_REPRESENTABLE = 3
 EXIT_STREAM = 4
@@ -76,8 +82,9 @@ def _backend_from_args(args) -> Backend:
             raise ParseError("--eps applies only to --backend approx")
         return EXACT
     eps = parse_rational(args.eps) if args.eps is not None else DEFAULT_EPS
-    if eps <= 0:
-        raise ParseError("--eps must be positive")
+    # from eps = 1 on, sqrt(2) may be taken as 1 and no approx check can fail
+    if not 0 < eps < 1:
+        raise ParseError("--eps must be positive and below 1")
     return ApproxBackend(eps)
 
 
@@ -120,17 +127,13 @@ def _random_stream(args) -> RandomStream:
 def render_state(state: QState, emit: str, digits: int, sparse: bool) -> list[str]:
     if emit == "exact":
         return format_state(state, sparse=sparse)
-    tol = Fraction(1, 10 ** (digits + 2))
-    amplitudes = physical_amplitudes(state, tol)
-    lines = []
-    for i, (c, (re, im)) in enumerate(zip(state.amps, amplitudes)):
-        if sparse and not c:
-            continue
-        lines.append(
-            f"({format_fixed(re, digits)}, {format_fixed(im, digits)})"
-            f" | {basis_label(i, state.nqubits)}"
-        )
-    return lines
+    amplitudes = physical_amplitudes(state, digits)
+    return [
+        f"({format_scaled(re, digits)}, {format_scaled(im, digits)})"
+        f" | {basis_label(i, state.nqubits)}"
+        for i, (lane, (re, im)) in enumerate(zip(zip(*state.lanes), amplitudes))
+        if any(lane) or not sparse
+    ]
 
 
 def cmd_run(args) -> int:
@@ -203,6 +206,7 @@ def cmd_verify_teleport(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnet",
@@ -218,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--eps", metavar="RAT", default=None,
-            help="tolerance for the approx backend (default 1/10^12)",
+            help="tolerance for the approx backend, above 0 and below 1"
+            " (default 1/10^12)",
         )
 
     for name, text in (("run", "execute a circuit"), ("trace", "execute a circuit, dumping each step")):
@@ -262,10 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a pipe closed after the last print fails here
+        return code
+    except BrokenPipeError:
+        # the reader left; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"qnet: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -79,7 +79,7 @@ def bits_to_index(bits: Sequence[bool]) -> int:
 
 def basis_label(index: int, nqubits: int) -> str:
     """The bitstring of a basis index as the state grammar writes it."""
-    return "".join("1" if b else "0" for b in index_to_bits(index, nqubits))
+    return format(index, f"0{nqubits}b")
 
 
 @dataclass(frozen=True)
@@ -217,16 +217,20 @@ def _integer_lanes(amps: Iterable[CScalar], backend: Backend) -> tuple[tuple, Sc
     return lanes, backend.from_parts(Fraction(1, den), 0)
 
 
+def _integer_unit(unit: Scalar, backend: Backend) -> tuple[int, int, int]:
+    """Integers p, q, s with unit = (p + q*sqrt(2)) / s."""
+    ua, ub = backend.parts(unit)
+    s = math.lcm(ua.denominator, ub.denominator)
+    return ua.numerator * (s // ua.denominator), ub.numerator * (s // ub.denominator), s
+
+
 def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
     """The CScalar value of every coefficient z * unit.
 
     With unit = (p + q*sqrt(2)) / s for integers p, q, s, a part
     a + b*sqrt(2) becomes ((a*p + 2*b*q) + (a*q + b*p)*sqrt(2)) / s.
     """
-    ua, ub = backend.parts(unit)
-    s = math.lcm(ua.denominator, ub.denominator)
-    p = ua.numerator * (s // ua.denominator)
-    q = ub.numerator * (s // ub.denominator)
+    p, q, s = _integer_unit(unit, backend)
 
     def part(a, b):
         x, y = a * p + 2 * b * q, a * q + b * p
@@ -456,30 +460,59 @@ def format_state(state: QState, sparse: bool = False) -> list[str]:
         ) from None
 
 
-def physical_amplitudes(state: QState, tol) -> list[tuple[Fraction, Fraction]]:
-    """Per-basis-vector (re, im) rationals approximating coeff / sqrt(scale_sq).
+def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
+    """Per-basis-vector (re, im) of coeff / sqrt(scale_sq) times 10^digits,
+    rounded half to even, computed in integers from the lanes.
 
-    The parts and the root are approximated to one absolute guard, which
-    a small root would magnify, so the quotient is taken as
-    (2^k * coeff) / sqrt(4^k * scale_sq) for the least k >= 0 that puts
-    4^k * scale_sq at 1 or above.  Approximating coeff to guard / 2^k is
-    approximating 2^k * coeff to guard.
+    Every part a + b*sqrt(2) and the root are approximated to one absolute
+    guard, 10^-(digits+2) / 8, which a small root would magnify, so the
+    quotient is taken as (2^k * coeff) / sqrt(4^k * scale_sq) for the least
+    k >= 0 that puts 4^k * scale_sq at 1 or above: approximating coeff to
+    fine = guard / 2^k is approximating 2^k * coeff to guard.
+
+    A part's sqrt(2) is ``iter_sqrt(2, fine / max(1, |b|))``, which is
+    r / 2^m for the least m >= 0 with 2 * max(1, |b|) <= fine * 2^m and
+    r = 2 * min(isqrt(2^(2m-1)), 2^m - 1) + 1; parts with the same m share
+    r.  With unit = (p + q*sqrt(2)) / s a part is (x + y*sqrt(2)) / s for
+    integers x, y, so its amplitude is (x * 2^m + y * r) / (s * 2^m * root),
+    one integer quotient.  Rounding a rational does not depend on how it
+    is written, so this is ``round`` of the rational the parts stand for.
     """
     backend = state.backend
+    inv_tol = 10 ** (digits + 2)
     k, scale_sq = 0, state.scale_sq
-    while backend.sign(scale_sq - 1) < 0:
-        k, scale_sq = k + 1, scale_sq * 4
-    guard = Fraction(tol) / 8
-    fine = guard / (1 << k)
-    parts = [
-        (
-            approx_of_parts(*backend.parts(c.re), fine),
-            approx_of_parts(*backend.parts(c.im), fine),
-        )
-        for c in state.amps
-    ]
-    if state.scale_sq == backend.one:
-        return parts
-    scale = approx_of_parts(*backend.parts(scale_sq), guard)
-    root = iter_sqrt(scale, guard) / (1 << k)
-    return [(re / root, im / root) for re, im in parts]
+    if scale_sq == backend.one:
+        root = Fraction(1)
+    else:
+        while backend.sign(scale_sq - 1) < 0:
+            k, scale_sq = k + 1, scale_sq * 4
+        guard = Fraction(1, 8 * inv_tol)
+        root = iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard) / (1 << k)
+    p, q, s = _integer_unit(state.unit, backend)
+    scaled = 10**digits * root.denominator
+    den = s * root.numerator
+    # m is the least m >= 0 with big <= s * 2^m, big = 2 * max(s, |y|) / fine
+    two_over_fine = 16 * inv_tol << k
+    s_bits = s.bit_length()
+    stand_ins: dict[int, int] = {}
+
+    def fixed(a: int, b: int) -> int:
+        x, y = a * p + 2 * b * q, a * q + b * p
+        if y:
+            big = two_over_fine * max(s, abs(y))
+            m = max(0, big.bit_length() - s_bits)
+            if s << m < big:
+                m += 1
+            r = stand_ins.get(m)
+            if r is None:
+                r = stand_ins[m] = 2 * min(math.isqrt((1 << 2 * m + 1) >> 2), (1 << m) - 1) + 1
+            n, d = ((x << m) + y * r) * scaled, den << m
+        elif x:
+            n, d = x * scaled, den
+        else:
+            return 0
+        quotient, rest = divmod(n, d)
+        rest *= 2
+        return quotient + (rest > d or (rest == d and quotient & 1))
+
+    return [(fixed(ra, rb), fixed(ia, ib)) for ra, rb, ia, ib in zip(*state.lanes)]

@@ -386,11 +386,13 @@ def format_fixed(x, digits: int) -> str:
     """Fixed-point decimal rendering of a rational (ties round to even)."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    unit = 10**digits
-    n = round(Fraction(x) * unit)
-    sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), unit)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return format_scaled(round(Fraction(x) * 10**digits), digits)
+
+
+def format_scaled(n: int, digits: int) -> str:
+    """The decimal n / 10^digits, written with exactly ``digits`` places."""
+    whole, frac = divmod(abs(n), 10**digits)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
 # --- the backend contract ---------------------------------------------------

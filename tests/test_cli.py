@@ -20,7 +20,7 @@ from qnet import (
     tensor_product,
     zero_qstate,
 )
-from qnet.cli import main, render_state
+from qnet.cli import build_parser, main, render_state
 from qnet.gates import gate_CN, gate_H
 from qnet.qstate import basis_label
 from qnet.scalar import format_cscalar
@@ -41,6 +41,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def process_env():
+    """The environment for ``python -m qnet`` on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 class TestRun:
@@ -179,6 +187,24 @@ class TestRun:
         assert "r=1/4" in inline[1] and "r=3/4" in inline[1]
         assert inline == from_file
 
+    def test_reused_parser_keeps_no_flags_between_calls(self, capsys, bell_circuit):
+        # the parser is built once per process; a second main() call must
+        # print what a fresh process prints
+        argv = ["run", "--circuit", bell_circuit, "--state", "zero:2"]
+        code, out, _ = run_cli(
+            capsys, *argv, "--backend", "approx", "--emit", "decimal", "--digits", "9"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "(0.707106781, 0.000000000) | 00"
+        second = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qnet", *argv],
+            capture_output=True, text=True, env=process_env(), timeout=60,
+        )
+        assert second == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert second[1].splitlines()[0] == "(1/2*s2, 0) | 00"
+        assert build_parser() is build_parser()
+
     def test_approx_backend(self, capsys, bell_circuit):
         code, out, _ = run_cli(
             capsys,
@@ -248,6 +274,29 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--eps" in err
+
+    @pytest.mark.parametrize("eps", ["1", "1000"])
+    def test_eps_of_one_or_more_refused(self, capsys, bell_circuit, eps):
+        # from eps = 1 on sqrt(2) may be taken as 1 and no check can fail
+        code, out, err = run_cli(capsys, "verify-teleport", "--backend", "approx", "--eps", eps)
+        assert (code, out) == (2, "")
+        assert "--eps must be positive and below 1" in err
+        code, out, err = run_cli(
+            capsys,
+            "run", "--circuit", bell_circuit, "--state", "zero:2",
+            "--backend", "approx", "--eps", eps,
+        )
+        assert (code, out) == (2, "")
+        assert "--eps" in err
+
+    def test_eps_below_one_runs(self, capsys, bell_circuit):
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--circuit", bell_circuit, "--state", "zero:2",
+            "--backend", "approx", "--eps", "1/2", "--emit", "decimal",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4
 
     def test_digits_rejected_under_exact_emit(self, capsys, bell_circuit):
         code, _, err = run_cli(
@@ -557,18 +606,35 @@ def test_too_wide_zero_state_fails_fast(tmp_path):
 
     circuit = tmp_path / "wide.qc"
     circuit.write_text("qubits 40\nX 0\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qnet", "run", "--circuit", str(circuit),
          "--state", "zero:40"],
         capture_output=True,
         text=True,
-        env=env,
+        env=process_env(),
         preexec_fn=cap_memory,
         timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "qubit count must be in 1..16" in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
+    # 4096 lines of an H wall are more than a pipe buffer holds, so the
+    # writer is still printing when the reader leaves
+    circuit = tmp_path / "wall.qc"
+    circuit.write_text("qubits 12\n" + "".join(f"H {q}\n" for q in range(12)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnet", "run", "--circuit", str(circuit),
+         "--state", "zero:12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=process_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert first == b"(1/64, 0) | 000000000000\n"

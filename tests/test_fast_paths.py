@@ -9,7 +9,11 @@ Each fast path is checked against the slower rule it replaces:
   lanes times one factor, on both backends, against code that works
   coefficient by coefficient on CScalars, as qnet did before the integer
   lanes.  These test-side copies are the only CScalar gate code left; they
-  serve as the oracle.
+  serve as the oracle;
+- `physical_amplitudes`, which rounds every decimal in integers from the
+  lanes, against the Fraction path it replaced (a Fraction per part,
+  ``approx_of_parts`` and ``format_fixed``'s rounding), on parts that sit
+  exactly on a half-unit tie as well as random ones.
 
 `run_circuit`, which renormalizes only where the backend needs it, is
 checked against a fold that normalizes after every gate in
@@ -44,6 +48,8 @@ from qnet import (
     to_backend,
     zero_qstate,
 )
+from qnet.qstate import physical_amplitudes
+from qnet.scalar import approx_of_parts
 
 from support import (
     rand_circuit_ops,
@@ -392,3 +398,104 @@ def test_repeated_h_reduces_back(make, m):
     assert max(abs(x) for lane in out.lanes for x in lane).bit_length() > m
     reduced, expected = out.reduced(), state.reduced()
     assert reduced.lanes == expected.lanes and reduced.unit == expected.unit
+
+
+# --- decimal output from the lanes ----------------------------------------------
+
+
+def fraction_path_root(state, digits):
+    """(fine, root) as the Fraction path took them: each part is
+    approximated to fine = guard / 2^k and the root of a deferred scale_sq
+    is iter_sqrt of the 4^k-scaled scale_sq, divided by 2^k."""
+    backend = state.backend
+    k, scale_sq = 0, state.scale_sq
+    while backend.sign(scale_sq - 1) < 0:
+        k, scale_sq = k + 1, scale_sq * 4
+    guard = Fraction(1, 8 * 10 ** (digits + 2))
+    if state.scale_sq == backend.one:
+        return guard, Fraction(1)
+    root = iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard)
+    return guard / (1 << k), root / (1 << k)
+
+
+def fraction_path_decimals(state, digits):
+    """physical_amplitudes as a Fraction per part: approx_of_parts, the
+    root, then format_fixed's rounding of x * 10^digits."""
+    fine, root = fraction_path_root(state, digits)
+    parts = state.backend.parts
+    return [
+        tuple(round(approx_of_parts(*parts(z), fine) / root * 10**digits) for z in (c.re, c.im))
+        for c in state.amps
+    ]
+
+
+def random_sqrt2_part(rng, backend):
+    """b of a + b*sqrt(2): zero, |b| below 1, or |b| above 1 (up to 10^6);
+    always zero on the approximate backend."""
+    if backend is not EXACT or rng.random() < 0.2:
+        return Fraction(0)
+    sign = rng.choice((1, -1))
+    if rng.random() < 0.5:
+        return sign * Fraction(rng.randint(1, 999), 1000)
+    return sign * Fraction(rng.randint(1001, 10**9), 1000)
+
+
+def decimal_input(rng, backend, digits, deferred, exponent):
+    """A state whose parts are random or sit exactly on a half-unit tie of
+    the Fraction path, over lanes times w and unit / w for a random w."""
+    nqubits = rng.randint(1, 2)
+    if deferred:
+        scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(10) ** exponent
+        scale_sq = backend.from_parts(scale, scale * rng.randint(0, 5) / 7)
+    else:
+        scale_sq = backend.one
+    probe = QState(nqubits, [CScalar(backend.one)] * (1 << nqubits), scale_sq, backend)
+    fine, root = fraction_path_root(probe, digits)
+    amps = []
+    for _ in range(1 << nqubits):
+        kind = rng.random()
+        b = random_sqrt2_part(rng, backend)
+        if kind < 0.15:
+            parts = [(0, 0), (0, 0)]
+        elif kind < 0.6:
+            # ties at t and t + 1: one of them is odd, so rounding either
+            # way off an exact tie shows
+            t = rng.randint(-2 * 10**digits, 2 * 10**digits)
+            stand_in = iter_sqrt(2, fine / max(1, abs(b))) if b else 0
+            parts = [
+                ((u + Fraction(1, 2)) * root / 10**digits - b * stand_in, b) for u in (t, t + 1)
+            ]
+        else:
+            parts = [
+                (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)), random_sqrt2_part(rng, backend))
+                for _ in range(2)
+            ]
+        amps.append(CScalar(*(backend.from_parts(a, b) for a, b in parts)))
+    state = QState(nqubits, amps, scale_sq, backend)
+    # the same values over other lanes: (a + b*sqrt(2)) * (u + v*sqrt(2)),
+    # with v = 0 on the approximate backend, whose sqrt(2) lanes stay zero
+    u = rng.choice((1, -1)) * rng.randint(1, 50)
+    v = rng.randint(-50, 50) if backend is EXACT else 0
+    re_a, re_b, im_a, im_b = state.lanes
+    lanes = [
+        [x * u + 2 * y * v for x, y in zip(re_a, re_b)],
+        [x * v + y * u for x, y in zip(re_a, re_b)],
+        [x * u + 2 * y * v for x, y in zip(im_a, im_b)],
+        [x * v + y * u for x, y in zip(im_a, im_b)],
+    ]
+    unit = state.unit / backend.from_parts(u, v)
+    return QState.from_lanes(nqubits, map(tuple, lanes), unit, scale_sq, backend)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    digits=st.integers(1, 60),
+    deferred=st.booleans(),
+    exponent=st.integers(-40, 40),
+)
+def test_integer_decimals_match_the_fraction_path(name, seed, digits, deferred, exponent):
+    backend = BACKENDS[name]
+    state = decimal_input(random.Random(seed), backend, digits, deferred, exponent)
+    assert physical_amplitudes(state, digits) == fraction_path_decimals(state, digits)

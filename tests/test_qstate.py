@@ -27,6 +27,7 @@ from qnet.errors import (
 from qnet.qstate import (
     MAX_QUBITS,
     QState,
+    basis_label,
     bits_to_index,
     index_to_bits,
     physical_amplitudes,
@@ -408,9 +409,12 @@ class TestStateFiles:
 
 
 class TestPhysicalAmplitudes:
+    """Amplitudes come back times 10^digits as integers; at 7 digits one
+    unit in the last place is 1e-7."""
+
     def test_bell(self):
-        amps = physical_amplitudes(bell_state(), F(1, 10**8))
-        assert abs(float(amps[0][0]) - 0.5**0.5) < 1e-7
+        amps = physical_amplitudes(bell_state(), 7)
+        assert abs(amps[0][0] / 10**7 - 0.5**0.5) < 1e-7
         assert amps[1] == (0, 0)
 
     def test_deferred_scale_divided_out(self):
@@ -419,10 +423,10 @@ class TestPhysicalAmplitudes:
                 [Term(ONE, (False,)), Term(CScalar(QExt(1), QExt(1)), (True,))], 1
             )
         )
-        amps = physical_amplitudes(deferred, F(1, 10**8))
-        assert abs(float(amps[0][0]) - 1 / 3**0.5) < 1e-7
+        amps = physical_amplitudes(deferred, 7)
+        assert abs(amps[0][0] / 10**7 - 1 / 3**0.5) < 1e-7
         rendered = state_to_complex(deferred)
-        assert abs(rendered[0] - complex(float(amps[0][0]), 0)) < 1e-7
+        assert abs(rendered[0] - complex(amps[0][0] / 10**7, 0)) < 1e-7
 
 
 class TestCoefficientVector:
@@ -449,6 +453,12 @@ class TestCoefficientVector:
                 assert bits_to_index(bits) == index
                 for q in range(nqubits):
                     assert bool(index & qubit_mask(nqubits, q)) == bits[q]
+
+    def test_basis_label_spells_index_to_bits(self):
+        for nqubits in range(1, 9):
+            for index in range(1 << nqubits):
+                bits = index_to_bits(index, nqubits)
+                assert basis_label(index, nqubits) == "".join("1" if b else "0" for b in bits)
 
     def test_qubit_mask_validates_the_index(self):
         for bad in (-1, 3, 40):
