@@ -217,20 +217,16 @@ def _integer_lanes(amps: Iterable[CScalar], backend: Backend) -> tuple[tuple, Sc
     return lanes, backend.from_parts(Fraction(1, den), 0)
 
 
-def _integer_unit(unit: Scalar, backend: Backend) -> tuple[int, int, int]:
-    """Integers p, q, s with unit = (p + q*sqrt(2)) / s."""
-    ua, ub = backend.parts(unit)
-    s = math.lcm(ua.denominator, ub.denominator)
-    return ua.numerator * (s // ua.denominator), ub.numerator * (s // ub.denominator), s
-
-
 def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
     """The CScalar value of every coefficient z * unit.
 
     With unit = (p + q*sqrt(2)) / s for integers p, q, s, a part
     a + b*sqrt(2) becomes ((a*p + 2*b*q) + (a*q + b*p)*sqrt(2)) / s.
     """
-    p, q, s = _integer_unit(unit, backend)
+    ua, ub = backend.parts(unit)
+    s = math.lcm(ua.denominator, ub.denominator)
+    p = ua.numerator * (s // ua.denominator)
+    q = ub.numerator * (s // ub.denominator)
 
     def part(a, b):
         x, y = a * p + 2 * b * q, a * q + b * p
@@ -470,13 +466,14 @@ def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
     k >= 0 that puts 4^k * scale_sq at 1 or above: approximating coeff to
     fine = guard / 2^k is approximating 2^k * coeff to guard.
 
-    A part's sqrt(2) is ``iter_sqrt(2, fine / max(1, |b|))``, which is
-    r / 2^m for the least m >= 0 with 2 * max(1, |b|) <= fine * 2^m and
-    r = 2 * min(isqrt(2^(2m-1)), 2^m - 1) + 1; parts with the same m share
-    r.  With unit = (p + q*sqrt(2)) / s a part is (x + y*sqrt(2)) / s for
-    integers x, y, so its amplitude is (x * 2^m + y * r) / (s * 2^m * root),
-    one integer quotient.  Rounding a rational does not depend on how it
-    is written, so this is ``round`` of the rational the parts stand for.
+    A part's sqrt(2) is ``iter_sqrt(2, fine / max(1, |b|))``.  It depends
+    on the tolerance only through m, the least m >= 0 with
+    2 * max(1, |b|) <= fine * 2^m, and is r / 2^m for an odd r that parts
+    with the same m share.  With unit = (p + q*sqrt(2)) / s a part is
+    (x + y*sqrt(2)) / s for integers x, y, so its amplitude is
+    (x * 2^m + y * r) / (s * 2^m * root), one integer quotient.  Rounding a
+    rational does not depend on how it is written, so this is ``round`` of
+    the rational the parts stand for.
     """
     backend = state.backend
     inv_tol = 10 ** (digits + 2)
@@ -488,7 +485,11 @@ def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
             k, scale_sq = k + 1, scale_sq * 4
         guard = Fraction(1, 8 * inv_tol)
         root = iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard) / (1 << k)
-    p, q, s = _integer_unit(state.unit, backend)
+    # unit = (p + q*sqrt(2)) / s, as in _cscalars
+    ua, ub = backend.parts(state.unit)
+    s = math.lcm(ua.denominator, ub.denominator)
+    p = ua.numerator * (s // ua.denominator)
+    q = ub.numerator * (s // ub.denominator)
     scaled = 10**digits * root.denominator
     den = s * root.numerator
     # m is the least m >= 0 with big <= s * 2^m, big = 2 * max(s, |y|) / fine
@@ -505,7 +506,7 @@ def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
                 m += 1
             r = stand_ins.get(m)
             if r is None:
-                r = stand_ins[m] = 2 * min(math.isqrt((1 << 2 * m + 1) >> 2), (1 << m) - 1) + 1
+                r = stand_ins[m] = iter_sqrt(2, Fraction(2, 1 << m)).numerator
             n, d = ((x << m) + y * r) * scaled, den << m
         elif x:
             n, d = x * scaled, den

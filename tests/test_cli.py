@@ -620,21 +620,28 @@ def test_too_wide_zero_state_fails_fast(tmp_path):
     assert "qubit count must be in 1..16" in proc.stderr
 
 
-def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
-    # 4096 lines of an H wall are more than a pipe buffer holds, so the
-    # writer is still printing when the reader leaves
+@pytest.mark.parametrize("nqubits, first", [
+    # 4096 lines are more than a pipe buffer holds, so the writer is still
+    # printing when the reader leaves
+    (12, b"(1/64, 0) | 000000000000\n"),
+    # a few lines still sit in stdout's buffer when the command returns
+    (1, None),
+], ids=["mid-output", "buffered"])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, nqubits, first):
     circuit = tmp_path / "wall.qc"
-    circuit.write_text("qubits 12\n" + "".join(f"H {q}\n" for q in range(12)))
+    circuit.write_text(f"qubits {nqubits}\n" + "".join(f"H {q}\n" for q in range(nqubits)))
+    env = process_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "qnet", "run", "--circuit", str(circuit),
-         "--state", "zero:12"],
+         "--state", f"zero:{nqubits}"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=process_env(),
+        env=env,
     )
-    first = proc.stdout.readline()
+    if first is not None:
+        assert proc.stdout.readline() == first
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
-    assert first == b"(1/64, 0) | 000000000000\n"
