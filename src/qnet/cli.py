@@ -54,7 +54,6 @@ from .scalar import (
     format_scaled,
     parse_cscalar,
     parse_rational,
-    to_backend,
 )
 from .teleport import (
     DEFAULT_INPUTS,
@@ -82,10 +81,10 @@ def _backend_from_args(args) -> Backend:
             raise ParseError("--eps applies only to --backend approx")
         return EXACT
     eps = parse_rational(args.eps) if args.eps is not None else DEFAULT_EPS
-    # from eps = 1 on, sqrt(2) may be taken as 1 and no approx check can fail
-    if not 0 < eps < 1:
-        raise ParseError("--eps must be positive and below 1")
-    return ApproxBackend(eps)
+    try:
+        return ApproxBackend(eps)
+    except ValueError:
+        raise ParseError("--eps must be positive and below 1") from None
 
 
 def _read(path: str) -> str:
@@ -106,9 +105,7 @@ def _initial_state(spec: str, backend: Backend) -> QState:
         parts = re.split(r"(?<=\))\s*,", spec[len("qubit:") :])
         if len(parts) != 2:
             raise ParseError(f"bad initial state {spec!r}: expected two cplx literals")
-        alpha = to_backend(parse_cscalar(parts[0]), backend)
-        beta = to_backend(parse_cscalar(parts[1]), backend)
-        return make_qubit(alpha, beta, backend)
+        return make_qubit(parse_cscalar(parts[0]), parse_cscalar(parts[1]), backend)
     return parse_state(_read(spec), backend)
 
 
@@ -168,8 +165,8 @@ def cmd_run(args) -> int:
 
 def cmd_teleport(args) -> int:
     backend = _backend_from_args(args)
-    alpha = to_backend(parse_cscalar(args.alpha), backend)
-    beta = to_backend(parse_cscalar(args.beta), backend)
+    alpha = parse_cscalar(args.alpha)
+    beta = parse_cscalar(args.beta)
     r1 = parse_rational(args.r1)
     r2 = parse_rational(args.r2)
     final = teleport_protocol(alpha, beta, r1, r2, backend)
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eps", metavar="RAT", default=None,
             help="tolerance for the approx backend, above 0 and below 1"
-            " (default 1/10^12)",
+            " (default 1/1000000000000)",
         )
 
     for name, text in (("run", "execute a circuit"), ("trace", "execute a circuit, dumping each step")):

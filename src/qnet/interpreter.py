@@ -11,9 +11,9 @@ are those of normalizing after every gate.
 
 Circuit text grammar (one gate per line):
 
-    line    := gate | comment | blank
+    line    := [gate] [comment]
     gate    := ('X'|'Z'|'H'|'I'|'M') WS index | 'CN' WS index WS index
-    comment := '#' any-chars
+    comment := '#' any-chars          (a '#' anywhere starts one)
     header  (optional first non-comment line): 'qubits' WS count
 """
 
@@ -130,8 +130,8 @@ def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
     total: int | None = None
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         kind, *args = line.split()
         if kind == "qubits" and not gates and declared is None:

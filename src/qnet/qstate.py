@@ -12,8 +12,10 @@ A state stores four tuples of Python ints, ``lanes = (re.a, re.b, im.a,
 im.b)``, and one backend scalar ``unit``:
 amps[i] = ((re.a[i] + re.b[i]*sqrt(2)) + i*(im.a[i] + im.b[i]*sqrt(2))) * unit.
 Gates do integer work only; common factors move from the integers into
-``unit`` lazily (``QState.reduced``), in ``normalize`` and when the
-CScalar view ``amps`` is built.  On the exact backend ``unit`` is in
+``unit`` lazily (``QState.reduced``), in ``normalize`` only.  The CScalar
+view ``amps`` is computed on each read and not stored; every rational in
+it is a ``Fraction``, which reduces itself, so the view does not depend on
+how far the lanes are reduced.  On the exact backend ``unit`` is in
 Q[sqrt(2)]; on the approximate backend it is a rational and the sqrt(2)
 lanes re.b and im.b stay zero.
 
@@ -95,9 +97,9 @@ class Term:
 
 class QState:
     """Canonical state: ``amps[i]`` is the coefficient of basis index i,
-    a view of ``lanes`` and ``unit`` built on first use."""
+    a view of ``lanes`` and ``unit`` computed on each read."""
 
-    __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend", "_amps")
+    __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend")
 
     def __init__(
         self,
@@ -116,7 +118,7 @@ class QState:
         self._init(nqubits, lanes, unit, scale_sq, backend)
 
     def _init(self, nqubits, lanes, unit, scale_sq, backend) -> None:
-        values = (nqubits, lanes, unit, scale_sq, backend, None)
+        values = (nqubits, lanes, unit, scale_sq, backend)
         for name, value in zip(QState.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -161,12 +163,9 @@ class QState:
 
     @property
     def amps(self) -> tuple[CScalar, ...]:
-        """The coefficients as CScalars, in basis-index order."""
-        if self._amps is None:
-            reduced = self.reduced()
-            amps = _cscalars(reduced.lanes, reduced.unit, self.backend)
-            object.__setattr__(self, "_amps", amps)
-        return self._amps
+        """The coefficients as CScalars, in basis-index order; one pass over
+        the lanes per read, so keep the tuple to index it often."""
+        return _cscalars(self.lanes, self.unit, self.backend)
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -176,7 +175,8 @@ class QState:
         )
 
     def coeff(self, index: int) -> CScalar:
-        return self.amps[index]
+        lanes = tuple((lane[index],) for lane in self.lanes)
+        return _cscalars(lanes, self.unit, self.backend)[0]
 
     def coeffs(self) -> list[CScalar]:
         return list(self.amps)
@@ -346,7 +346,7 @@ def zero_qstate(nqubits: int, backend: Backend = EXACT) -> QState:
 def get_deterministic_qubit(state: QState, n: int) -> bool:
     """The single value qubit n takes across all nonzero terms."""
     mask = qubit_mask(state.nqubits, n)
-    values = {bool(i & mask) for i, c in enumerate(state.amps) if c}
+    values = {bool(i & mask) for i, z in enumerate(zip(*state.lanes)) if any(z)}
     if not values:
         raise ValueError("zero state has no deterministic qubits")
     if len(values) > 1:

@@ -448,8 +448,9 @@ class ApproxBackend:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # from eps = 1 on, sqrt(2) may be taken as 1 and no approx check can fail
+        if not 0 < self.eps < 1:
+            raise ValueError("eps must be positive and below 1")
 
     @cached_property
     def sqrt_two(self) -> Fraction:

@@ -15,9 +15,11 @@ from fractions import Fraction
 from .interpreter import Circuit, Gate, RandomStream, run_circuit
 from .qstate import (
     QState,
+    Term,
     get_deterministic_qubit,
     make_qubit,
     narrow_to_qubit,
+    sort_and_merge,
     tensor_product,
     zero_qstate,
 )
@@ -156,11 +158,9 @@ def _expected_alice_state(
     """
     if m0:
         return None
-    one = CScalar(backend.one, backend.zero)
-    zero = CScalar(backend.zero, backend.zero)
-    m1_ket = make_qubit(zero, one, backend) if m1 else make_qubit(one, zero, backend)
-    payload = make_qubit(beta, alpha, backend) if m1 else make_qubit(alpha, beta, backend)
-    return tensor_product(tensor_product(zero_qstate(1, backend), m1_ket), payload)
+    low, high = (beta, alpha) if m1 else (alpha, beta)
+    terms = (Term(low, (False, m1, False)), Term(high, (False, m1, True)))
+    return sort_and_merge(terms, 3, backend)
 
 
 def max_component_gap(a: QState, b: QState) -> Fraction:

@@ -13,7 +13,9 @@ Each fast path is checked against the slower rule it replaces:
 - `physical_amplitudes`, which rounds every decimal in integers from the
   lanes, against the Fraction path it replaced (a Fraction per part,
   ``approx_of_parts`` and ``format_fixed``'s rounding), on parts that sit
-  exactly on a half-unit tie as well as random ones.
+  exactly on a half-unit tie as well as random ones;
+- the CScalar view of unreduced lanes, built without reducing them,
+  against the view of the reduced state, value and text.
 
 `run_circuit`, which renormalizes only where the backend needs it, is
 checked against a fold that normalizes after every gate in
@@ -48,8 +50,8 @@ from qnet import (
     to_backend,
     zero_qstate,
 )
-from qnet.qstate import physical_amplitudes
-from qnet.scalar import approx_of_parts
+from qnet.qstate import _cscalars, physical_amplitudes
+from qnet.scalar import approx_of_parts, format_cscalar
 
 from support import (
     rand_circuit_ops,
@@ -398,6 +400,39 @@ def test_repeated_h_reduces_back(make, m):
     assert max(abs(x) for lane in out.lanes for x in lane).bit_length() > m
     reduced, expected = out.reduced(), state.reduced()
     assert reduced.lanes == expected.lanes and reduced.unit == expected.unit
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 4), factor=st.integers(2, 10**6))
+def test_view_of_unreduced_lanes_equals_the_reduced_view(name, seed, nqubits, factor):
+    # the view does not reduce first: its Fractions reduce themselves
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    size = 1 << nqubits
+
+    def lane(multiplier):
+        return tuple(multiplier * rng.randint(-99, 99) for _ in range(size))
+
+    # rational parts even, sqrt(2) parts zero on the approximate backend
+    sqrt2_factor = factor if backend is EXACT else 0
+    lanes = (lane(2 * factor), lane(sqrt2_factor), lane(2 * factor), lane(sqrt2_factor))
+    unit = backend.from_parts(Fraction(rng.randint(1, 99), rng.randint(1, 99)), rng.randint(-9, 9))
+    state = QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
+    reduced = state.reduced()
+    if any(map(any, lanes)):
+        assert reduced.lanes != lanes
+    view, reduced_view = _cscalars(lanes, unit, backend), reduced.amps
+    assert view == reduced_view
+    assert [format_cscalar(c) for c in view] == [format_cscalar(c) for c in reduced_view]
+
+
+@pytest.mark.parametrize("make", (normalized_state, deferred_state))
+def test_coeff_equals_the_view_entry(make):
+    state = make(random.Random(5))
+    for s in (state, gate_H(gate_H(state, 1), 2)):
+        amps = s.amps
+        assert [s.coeff(i) for i in range(len(amps))] == list(amps)
 
 
 # --- decimal output from the lanes ----------------------------------------------

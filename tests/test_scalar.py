@@ -336,6 +336,12 @@ class TestBackends:
         with pytest.raises(ValueError):
             ApproxBackend(0)
 
+    @pytest.mark.parametrize("eps", [1, 1000])
+    def test_approx_requires_eps_below_one(self, eps):
+        # ApproxBackend(1000) would take sqrt(2) as 1 and pass every check
+        with pytest.raises(ValueError, match="below 1"):
+            ApproxBackend(eps)
+
 
 class TestQExtHash:
     def test_rational_elements_hash_like_their_value(self):
