@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 stdout closed before the output was written (a
 pipe whose reader left, as in ``qnet run ... | head -1``; no traceback),
 2 parse/validation error (a runtime domain error from a gate names the
-step and the gate), 3 exact rendering hit a non-representable amplitude or
+step and the gate; an input number longer than Python reads from text
+names that limit), 3 exact rendering hit a non-representable amplitude or
 one with more digits than Python converts from int to text, 4 random
 stream exhausted, 5 teleportation check failed.
 Output is deterministic: identical invocations produce byte-identical
@@ -53,6 +54,7 @@ from .scalar import (
     format_fixed,
     format_scaled,
     parse_cscalar,
+    parse_int,
     parse_rational,
 )
 from .teleport import (
@@ -98,9 +100,10 @@ def _read(path: str) -> str:
 def _initial_state(spec: str, backend: Backend) -> QState:
     if spec.startswith("zero:"):
         count = spec[len("zero:") :]
-        if not count.isdecimal() or int(count) < 1:
+        width = parse_int(count) if count.isdecimal() else 0
+        if width < 1:
             raise ParseError(f"bad initial state {spec!r}")
-        return zero_qstate(int(count), backend)
+        return zero_qstate(width, backend)
     if spec.startswith("qubit:"):
         parts = re.split(r"(?<=\))\s*,", spec[len("qubit:") :])
         if len(parts) != 2:
@@ -121,10 +124,14 @@ def _random_stream(args) -> RandomStream:
     return RandomStream(parse_rational(p) for p in pieces if p.strip())
 
 
-def render_state(state: QState, emit: str, digits: int, sparse: bool) -> list[str]:
+def render_state(
+    state: QState, emit: str, digits: int, sparse: bool, roots: dict | None = None
+) -> list[str]:
+    """The output lines of one state; ``roots`` is passed on to
+    ``physical_amplitudes``, so the states of one run share their roots."""
     if emit == "exact":
         return format_state(state, sparse=sparse)
-    amplitudes = physical_amplitudes(state, digits)
+    amplitudes = physical_amplitudes(state, digits, roots)
     return [
         f"({format_scaled(re, digits)}, {format_scaled(im, digits)})"
         f" | {basis_label(i, state.nqubits)}"
@@ -147,14 +154,15 @@ def cmd_run(args) -> int:
     stream = _random_stream(args)
     if args.command == "trace":
         _, events = run_circuit_traced(circuit, initial, stream)
+        roots: dict = {}
         lines = ["# initial"]
-        lines += render_state(normalize(initial), args.emit, digits, args.sparse_output)
+        lines += render_state(normalize(initial), args.emit, digits, args.sparse_output, roots)
         for event in events:
             label = f"# step {event.step}: {event.gate}"
             if event.draw is not None:
                 label += f" r={event.draw}"
             lines += ["", label]
-            lines += render_state(event.state, args.emit, digits, args.sparse_output)
+            lines += render_state(event.state, args.emit, digits, args.sparse_output, roots)
     else:
         final = run_circuit(circuit, initial, stream)
         lines = render_state(final, args.emit, digits, args.sparse_output)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .qstate import QState, lane_norm_sq, qubit_mask
-from .scalar import QExt
+from .scalar import sign
 
 
 def _split(lane, mask: int) -> tuple[list, list]:
@@ -140,7 +140,7 @@ def gate_M(state: QState, n: int, r) -> QState:
     if not zx + ox:
         raise ValueError("cannot measure the zero state")
     u, v = r.numerator, r.denominator
-    outcome = QExt(v * zx - u * (zx + ox), v * zy - u * (zy + oy)).sign() <= 0
+    outcome = sign(v * zx - u * (zx + ox), v * zy - u * (zy + oy)) <= 0
     zeros = [0] * (1 << (state.nqubits - 1))
     if outcome:
         lanes = (_merge(zeros, hi, mask) for _, hi in halves)

@@ -26,6 +26,7 @@ from typing import Iterable
 from . import gates as _gates
 from .errors import ParseError, RandomStreamExhausted
 from .qstate import QState, normalize
+from .scalar import parse_int
 
 GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "I": 1, "M": 1, "CN": 2}
 
@@ -134,15 +135,21 @@ def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
         if not line:
             continue
         kind, *args = line.split()
+        numbers = None
+        if all(a.isdecimal() for a in args):
+            try:
+                numbers = tuple(map(parse_int, args))
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
         if kind == "qubits" and not gates and declared is None:
-            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
+            if len(args) != 1 or numbers is None or numbers[0] < 1:
                 raise ParseError("header must be 'qubits <count>'", line=lineno)
-            declared = int(args[0])
+            declared = numbers[0]
             continue
-        if not all(a.isdecimal() for a in args):
+        if numbers is None:
             raise ParseError(f"bad qubit index in {line!r}", line=lineno)
         try:
-            gate = Gate(kind, tuple(int(a) for a in args))
+            gate = Gate(kind, numbers)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         if total is None:

@@ -49,6 +49,7 @@ from .scalar import (
     Scalar,
     approx_of_parts,
     format_cscalar,
+    int_parts,
     iter_sqrt,
     parse_cscalar,
     to_backend,
@@ -187,6 +188,12 @@ class QState:
         Comparing a state whose normalization is still deferred
         (scale_sq != 1) signals NotRepresentableError: its raw
         coefficients are not amplitudes.
+
+        Decided on the lanes by integer cross-multiplication, as in
+        ``narrow_to_qubit``: with units (p + q*sqrt(2)) / s and
+        (r + t*sqrt(2)) / u, entry z of this state equals entry w of the
+        other iff z * (p + q*sqrt(2)) * u == w * (r + t*sqrt(2)) * s, part
+        by part in Z[sqrt(2)].
         """
         if not isinstance(other, QState):
             return NotImplemented
@@ -197,7 +204,15 @@ class QState:
             raise NotRepresentableError(
                 "state equality is defined only for scale_sq = 1"
             )
-        return self.amps == other.amps
+        p, q, s = int_parts(self.unit)
+        r, t, u = int_parts(other.unit)
+        p, q, r, t = p * u, q * u, r * s, t * s
+        mine, theirs = self.lanes, other.lanes
+        return all(
+            xa * p + 2 * xb * q == ya * r + 2 * yb * t and xa * q + xb * p == ya * t + yb * r
+            for i in (0, 2)
+            for xa, xb, ya, yb in zip(mine[i], mine[i + 1], theirs[i], theirs[i + 1])
+        )
 
     def __repr__(self) -> str:
         nonzero = [
@@ -223,10 +238,7 @@ def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ..
     With unit = (p + q*sqrt(2)) / s for integers p, q, s, a part
     a + b*sqrt(2) becomes ((a*p + 2*b*q) + (a*q + b*p)*sqrt(2)) / s.
     """
-    ua, ub = backend.parts(unit)
-    s = math.lcm(ua.denominator, ub.denominator)
-    p = ua.numerator * (s // ua.denominator)
-    q = ub.numerator * (s // ub.denominator)
+    p, q, s = int_parts(unit)
 
     def part(a, b):
         x, y = a * p + 2 * b * q, a * q + b * p
@@ -272,9 +284,15 @@ def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT
 
 
 def norm_sq(state: QState) -> Scalar:
-    """Sum of squared coefficient norms (independent of scale_sq)."""
+    """Sum of squared coefficient norms (independent of scale_sq).
+
+    The lanes' sum x + y*sqrt(2) times unit^2, with unit = (p + q*sqrt(2)) / s
+    and unit^2 = ((p^2 + 2 q^2) + 2pq*sqrt(2)) / s^2, in integers.
+    """
     x, y = lane_norm_sq(*state.lanes)
-    return state.backend.from_parts(x, y) * (state.unit * state.unit)
+    p, q, s = int_parts(state.unit)
+    u, v, ss = p * p + 2 * q * q, 2 * p * q, s * s
+    return state.backend.from_parts(Fraction(x * u + 2 * y * v, ss), Fraction(x * v + y * u, ss))
 
 
 def normalize(state: QState) -> QState:
@@ -456,7 +474,9 @@ def format_state(state: QState, sparse: bool = False) -> list[str]:
         ) from None
 
 
-def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
+def physical_amplitudes(
+    state: QState, digits: int, roots: dict | None = None
+) -> list[tuple[int, int]]:
     """Per-basis-vector (re, im) of coeff / sqrt(scale_sq) times 10^digits,
     rounded half to even, computed in integers from the lanes.
 
@@ -464,7 +484,11 @@ def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
     guard, 10^-(digits+2) / 8, which a small root would magnify, so the
     quotient is taken as (2^k * coeff) / sqrt(4^k * scale_sq) for the least
     k >= 0 that puts 4^k * scale_sq at 1 or above: approximating coeff to
-    fine = guard / 2^k is approximating 2^k * coeff to guard.
+    fine = guard / 2^k is approximating 2^k * coeff to guard.  k and the
+    root depend only on (scale_sq, digits); a caller that renders many
+    states passes one dict as ``roots``, which keeps them by that pair, so
+    the steps of a trace, which unitary gates leave at one scale_sq, take
+    the root once.
 
     A part's sqrt(2) is ``iter_sqrt(2, fine / max(1, |b|))``.  It depends
     on the tolerance only through m, the least m >= 0 with
@@ -475,21 +499,14 @@ def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
     rational does not depend on how it is written, so this is ``round`` of
     the rational the parts stand for.
     """
-    backend = state.backend
     inv_tol = 10 ** (digits + 2)
-    k, scale_sq = 0, state.scale_sq
-    if scale_sq == backend.one:
-        root = Fraction(1)
-    else:
-        while backend.sign(scale_sq - 1) < 0:
-            k, scale_sq = k + 1, scale_sq * 4
-        guard = Fraction(1, 8 * inv_tol)
-        root = iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard) / (1 << k)
-    # unit = (p + q*sqrt(2)) / s, as in _cscalars
-    ua, ub = backend.parts(state.unit)
-    s = math.lcm(ua.denominator, ub.denominator)
-    p = ua.numerator * (s // ua.denominator)
-    q = ub.numerator * (s // ub.denominator)
+    if roots is None:
+        roots = {}
+    key = (state.scale_sq, digits)
+    if key not in roots:
+        roots[key] = _deferred_root(state.scale_sq, inv_tol, state.backend)
+    k, root = roots[key]
+    p, q, s = int_parts(state.unit)
     scaled = 10**digits * root.denominator
     den = s * root.numerator
     # m is the least m >= 0 with big <= s * 2^m, big = 2 * max(s, |y|) / fine
@@ -517,3 +534,16 @@ def physical_amplitudes(state: QState, digits: int) -> list[tuple[int, int]]:
         return quotient + (rest > d or (rest == d and quotient & 1))
 
     return [(fixed(ra, rb), fixed(ia, ib)) for ra, rb, ia, ib in zip(*state.lanes)]
+
+
+def _deferred_root(scale_sq: Scalar, inv_tol: int, backend: Backend) -> tuple[int, Fraction]:
+    """(k, root) for ``physical_amplitudes``: k is the least k >= 0 with
+    4^k * scale_sq >= 1, and root is sqrt(4^k * scale_sq) to within the
+    guard 1 / (8 * inv_tol), divided by 2^k; (0, 1) when scale_sq is 1."""
+    if scale_sq == backend.one:
+        return 0, Fraction(1)
+    k = 0
+    while backend.sign(scale_sq - 1) < 0:
+        k, scale_sq = k + 1, scale_sq * 4
+    guard = Fraction(1, 8 * inv_tol)
+    return k, iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard) / (1 << k)

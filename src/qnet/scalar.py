@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,24 +29,47 @@ from .errors import ParseError
 Rational = Union[Fraction, int]
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if it is not a square.
+def sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(2) for integers p, q: -1, 0 or +1.
 
-    A rational in lowest terms is a square iff numerator and denominator
-    are both integer perfect squares.
+    With mixed signs, |p| against |q|*sqrt(2) is p^2 against 2 q^2, which
+    can never tie (sqrt(2) is irrational).
     """
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sp == sq or not sq:
+        return sp
+    if not sp or p * p < 2 * q * q:
+        return sq
+    return sp
+
+
+def int_parts(x) -> tuple[int, int, int] | None:
+    """Integers (p, q, d) with d > 0 and x = (p + q*sqrt(2)) / d, for a
+    QExt or a rational x; None for any other type.
+
+    A QExt's two parts are put over one common denominator, which is free
+    when they already share it.
+    """
+    if isinstance(x, QExt):
+        a, b = x.a, x.b
+        ad, bd = a.denominator, b.denominator
+        if ad == bd:
+            return a.numerator, b.numerator, ad
+        d = math.lcm(ad, bd)
+        return a.numerator * (d // ad), b.numerator * (d // bd), d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
     return None
 
 
 class QExt:
     """An element a + b*sqrt(2) of Q[sqrt(2)] with exact rational parts.
 
+    It is stored as two reduced ``Fraction``s ``a`` and ``b``, and its
+    arithmetic runs on plain integers: each operand is read as
+    (p + q*sqrt(2)) / d by ``int_parts``, the operation is done on the
+    integers, and the result's two Fractions are made once.
     The representation is unique: sqrt(2) is irrational, so equality is
     componentwise.  Mixed arithmetic with int and Fraction coerces the
     other operand.
@@ -91,18 +115,26 @@ class QExt:
         return bool(self.a) or bool(self.b)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        return QExt(self.a + o.a, self.b + o.b)
+        p, q, d = int_parts(self)
+        r, s, e = o
+        if d == e:
+            return _from_ints(p + r, q + s, d)
+        return _from_ints(p * e + r * d, q * e + s * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        return QExt(self.a - o.a, self.b - o.b)
+        p, q, d = int_parts(self)
+        r, s, e = o
+        if d == e:
+            return _from_ints(p - r, q - s, d)
+        return _from_ints(p * e - r * d, q * e - s * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -111,35 +143,33 @@ class QExt:
         return o - self
 
     def __neg__(self):
-        return QExt(-self.a, -self.b)
+        p, q, d = int_parts(self)
+        return _from_ints(-p, -q, d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        return QExt(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, d = int_parts(self)
+        r, s, e = o
+        return _from_ints(p * r + 2 * q * s, p * s + q * r, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        # A divisor d*sqrt(2) (the H gate's sqrt(2)) has a closed form that
-        # gives the same reduced parts as the conjugate formula below:
-        # (a + b*sqrt(2)) / (d*sqrt(2)) = b/d + (a/2d)*sqrt(2).
-        if not o.a and o.b:
-            if o.b == 1:
-                a = self.a
-                return QExt(self.b, Fraction(a.numerator, 2 * a.denominator))
-            return QExt(self.b / o.b, self.a / (2 * o.b))
-        # multiply by the conjugate (a - b*sqrt(2)); the field norm
-        # a^2 - 2 b^2 is zero only for the zero element
-        norm = o.a * o.a - 2 * o.b * o.b
+        # multiply by the conjugate (r - s*sqrt(2)); the field norm
+        # r^2 - 2 s^2 is zero only for the zero element
+        r, s, e = o
+        norm = r * r - 2 * s * s
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
-        num = self * QExt(o.a, -o.b)
-        return QExt(num.a / norm, num.b / norm)
+        p, q, d = int_parts(self)
+        if norm < 0:
+            norm, r, s = -norm, -r, -s
+        return _from_ints((p * r - 2 * q * s) * e, (q * r - p * s) * e, d * norm)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -149,47 +179,67 @@ class QExt:
 
     def sign(self) -> int:
         """Exact sign of the real value a + b*sqrt(2): -1, 0, or +1."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == 0:
-            return sb
-        if sb == 0 or sa == sb:
-            return sa
-        # mixed signs: |a| vs |b|*sqrt(2) reduces to a^2 vs 2 b^2, which
-        # can never tie (sqrt(2) is irrational)
-        if self.a * self.a > 2 * self.b * self.b:
-            return sa
-        return sb
+        a, b = self.a, self.b
+        # both denominators are positive, so multiplying by them keeps the sign
+        return sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
     def sqrt(self) -> "QExt | None":
         """In-field square root with nonnegative sign, or None.
 
-        Seeks (c + d*sqrt(2))^2 = (c^2 + 2 d^2) + 2cd*sqrt(2) = a + b*sqrt(2).
-        With b = 0 either d = 0 (a must be a rational square) or c = 0
-        (a/2 must be one).  With b != 0, c^2 solves a quadratic whose
-        discriminant is a^2 - 2 b^2; both roots (a +- s)/2 are tried.
-        None is an ordinary outcome, not a failure: callers fall back to
-        deferred normalization.
+        With self = (p + q*sqrt(2)) / d, the root is sqrt(P + Q*sqrt(2)) / d
+        for P = p*d and Q = q*d.  Z[sqrt(2)] is the ring of integers of
+        Q[sqrt(2)], so a root of P + Q*sqrt(2) that lies in the field is
+        some c + e*sqrt(2) with integers c, e, and
+        (c + e*sqrt(2))^2 = (c^2 + 2 e^2) + 2ce*sqrt(2).  With Q = 0 either
+        e = 0 (P must be a square) or c = 0 (P/2 must be one).  With Q != 0,
+        c^2 solves a quadratic whose discriminant P^2 - 2 Q^2 must be a
+        square D^2; both roots (P +- D)/2 are tried, and then e = Q / (2c).  None is an
+        ordinary outcome, not a failure: callers fall back to deferred
+        normalization.
         """
-        if self.sign() < 0:
+        p, q, d = int_parts(self)
+        if sign(p, q) < 0:
             raise ValueError("square root of a negative value")
-        if self.b == 0:
-            r = _rational_sqrt(self.a)
-            if r is not None:
-                return QExt(r)
-            r = _rational_sqrt(self.a / 2)
-            if r is not None:
-                return QExt(0, r)
+        big_p, big_q = p * d, q * d
+        if not big_q:
+            c = math.isqrt(big_p)
+            if c * c == big_p:
+                return _from_ints(c, 0, d)
+            if not big_p & 1:
+                e = math.isqrt(big_p >> 1)
+                if 2 * e * e == big_p:
+                    return _from_ints(0, e, d)
             return None
-        s = _rational_sqrt(self.a * self.a - 2 * self.b * self.b)
-        if s is None:
+        disc = big_p * big_p - 2 * big_q * big_q
+        if disc < 0:
             return None
-        for c_sq in ((self.a + s) / 2, (self.a - s) / 2):
-            c = _rational_sqrt(c_sq)
-            if c is not None and c != 0:
-                root = QExt(c, self.b / (2 * c))
-                return -root if root.sign() < 0 else root
+        big_d = math.isqrt(disc)
+        if big_d * big_d != disc:
+            return None
+        for c_sq in ((big_p + big_d) >> 1, (big_p - big_d) >> 1):
+            if c_sq > 0:
+                c = math.isqrt(c_sq)
+                if c * c == c_sq:
+                    e = big_q // (2 * c)  # exact: the root is in Z[sqrt(2)]
+                    if sign(c, e) < 0:
+                        c, e = -c, -e
+                    return _from_ints(c, e, d)
         return None
+
+
+def _from_ints(p: int, q: int, d: int) -> QExt:
+    """The QExt (p + q*sqrt(2)) / d for integers with d > 0; its two
+    Fractions are made here, and set past ``QExt.__init__``'s checks."""
+    x = _new_object(QExt)
+    _set_a(x, Fraction(p, d) if p else _ZERO)
+    _set_b(x, Fraction(q, d) if q else _ZERO)
+    return x
+
+
+_ZERO = Fraction(0)
+_new_object = object.__new__
+_set_a = QExt.a.__set__
+_set_b = QExt.b.__set__
 
 
 #: Real scalar of either backend: QExt exactly, Fraction approximately.
@@ -275,21 +325,24 @@ def iter_sqrt(x, e) -> Fraction:
     is (2k + 1) * w / 2^(m+1).  One integer square root replaces m
     Fraction iterations.
     """
-    x = Fraction(x)
-    e = Fraction(e)
-    if x < 0:
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
+    if type(e) is not int and type(e) is not Fraction:
+        e = Fraction(e)
+    xn, xd = x.numerator, x.denominator
+    en, ed = e.numerator, e.denominator
+    if xn < 0:
         raise ValueError("iter_sqrt of a negative value")
-    if e <= 0:
+    if en <= 0:
         raise ValueError("tolerance must be positive")
-    w = max(Fraction(1), x)
-    wn, wd = w.numerator, w.denominator
+    wn, wd = (xn, xd) if xn > xd else (1, 1)  # w = max(1, x)
     # least m >= 0 with w <= e * 2^m, i.e. big <= small * 2^m; the bit
     # lengths give it up to one
-    big, small = wn * e.denominator, e.numerator * wd
+    big, small = wn * ed, en * wd
     m = max(0, big.bit_length() - small.bit_length())
     if small << m < big:
         m += 1
-    k = math.isqrt((x.numerator * wd * wd << 2 * m) // (x.denominator * wn * wn))
+    k = math.isqrt((xn * wd * wd << 2 * m) // (xd * wn * wn))
     k = min(k, (1 << m) - 1)
     return Fraction((2 * k + 1) * wn, wd << (m + 1))
 
@@ -323,12 +376,35 @@ _RAT_RE = re.compile(rf"^{_RAT}$")
 _QEXT_S2_RE = re.compile(rf"^(?:(?P<a>{_RAT})(?P<sep>[+-]))?(?:(?P<b>{_RAT})\*)?s2$")
 
 
+def parse_int(text: str) -> int:
+    """A string of decimal digits as an int.
+
+    Python converts at most ``sys.get_int_max_str_digits()`` digits (4300
+    by default) from text; a longer number is a ParseError that names the
+    limit, not Python's own ValueError, whose advice no input can follow.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(
+            f"number {text[:12]}... has more than {sys.get_int_max_str_digits()}"
+            " digits, the most qnet reads"
+        ) from None
+
+
+def _rational(text: str) -> Fraction:
+    """A literal that matches the rat grammar as a Fraction; a zero
+    denominator raises ZeroDivisionError."""
+    num, _, den = text.partition("/")
+    return Fraction(parse_int(num), parse_int(den) if den else 1)
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ParseError(f"bad rational literal {text!r}")
     try:
-        return Fraction(text)
+        return _rational(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
 
@@ -342,9 +418,9 @@ def parse_qext(text: str) -> QExt:
     if m is None:
         raise ParseError(f"bad scalar literal {text!r}")
     try:
-        a = Fraction(m["a"]) if m["a"] is not None else Fraction(0)
+        a = _rational(m["a"]) if m["a"] is not None else Fraction(0)
         if m["b"] is not None:
-            b = Fraction(m["b"])
+            b = _rational(m["b"])
         elif m["sep"] is not None:
             b = Fraction(1)
         else:

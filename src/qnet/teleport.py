@@ -23,7 +23,16 @@ from .qstate import (
     tensor_product,
     zero_qstate,
 )
-from .scalar import EXACT, ApproxBackend, Backend, CScalar, QExt, format_cscalar, to_backend
+from .scalar import (
+    EXACT,
+    ApproxBackend,
+    Backend,
+    CScalar,
+    QExt,
+    format_cscalar,
+    int_parts,
+    to_backend,
+)
 
 ALICE_CIRCUIT = Circuit(
     (
@@ -164,11 +173,25 @@ def _expected_alice_state(
 
 
 def max_component_gap(a: QState, b: QState) -> Fraction:
-    """Largest difference between matching real or imaginary parts."""
-    gap = Fraction(0)
-    for x, y in zip(a.amps, b.amps):
-        gap = max(gap, abs(x.re - y.re), abs(x.im - y.im))
-    return gap
+    """Largest difference between matching real or imaginary parts.
+
+    Defined on the approximate backend only, where every part is a
+    rational: a difference in Q[sqrt(2)] has no ``abs`` (``QExt`` defines
+    none), so exact states raise TypeError.  Computed per entry from the
+    lanes: with units p / s and r / u, parts x and y differ by
+    |x*p*u - y*r*s| / (s*u), and only the largest is made a Fraction.
+    """
+    if not (isinstance(a.backend, ApproxBackend) and isinstance(b.backend, ApproxBackend)):
+        raise TypeError("max_component_gap compares approximate-backend states only")
+    p, _, s = int_parts(a.unit)
+    r, _, u = int_parts(b.unit)
+    p, r = p * u, r * s
+    gap = max(
+        abs(x * p - y * r)
+        for i in (0, 2)
+        for x, y in zip(a.lanes[i], b.lanes[i])
+    )
+    return Fraction(gap, s * u)
 
 
 def verify_teleportation(

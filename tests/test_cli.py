@@ -20,6 +20,7 @@ from qnet import (
     tensor_product,
     zero_qstate,
 )
+from qnet import qstate
 from qnet.cli import build_parser, main, render_state
 from qnet.gates import gate_CN, gate_H
 from qnet.qstate import basis_label
@@ -408,6 +409,46 @@ class TestExitCodes:
             assert "line" not in err and "cannot read" not in err
 
 
+    # one literal past Python's int-from-text limit in each grammar that reads
+    # numbers: rational draws, scalar literals (state file and qubit: spec),
+    # the circuit's qubit index and header, and the zero:<n> width
+    @pytest.mark.parametrize(
+        "where",
+        ["--randoms", "--r1", "state file", "qubit spec", "qubit index", "qubits header", "zero width"],
+    )
+    def test_number_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path, where):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int-from-text conversion is unlimited in this interpreter")
+        big = "9" * (limit + 100)
+        circuit = tmp_path / "m.qc"
+        circuit.write_text("qubits 1\nM 0\n")
+        files = {  # where: (file, its text, the line that holds the number)
+            "state file": ("s.qs", f"(1, 0) | 0\n(1/{big}, 1*s2) | 1\n", 2),
+            "qubit index": ("x.qc", f"qubits 2\nX {big}\n", 2),
+            "qubits header": ("h.qc", f"qubits {big}\nH 0\n", 1),
+        }
+        if where in files:
+            name, text, _ = files[where]
+            (tmp_path / name).write_text(text)
+        run = ["run", "--circuit", str(circuit), "--randoms", "1/2", "--state"]
+        argv = {
+            "--randoms": ["run", "--circuit", str(circuit), "--randoms", f"1/{big}", "--state", "zero:1"],
+            "--r1": ["teleport", "--alpha", "(1, 0)", "--beta", "(0, 0)", "--r1", f"1/{big}", "--r2", "0"],
+            "state file": run + [str(tmp_path / "s.qs")],
+            "qubit spec": run + [f"qubit:(1,0),({big}-1*s2,0)"],
+            "qubit index": ["run", "--circuit", str(tmp_path / "x.qc"), "--state", "zero:2"],
+            "qubits header": ["run", "--circuit", str(tmp_path / "h.qc"), "--state", "zero:1"],
+            "zero width": run + [f"zero:{big}"],
+        }[where]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"has more than {limit} digits" in err
+        assert "set_int_max_str_digits" not in err
+        if where in files:
+            assert f"line {files[where][2]}: " in err
+
+
 def last_digit_units(line: str) -> tuple[int, int]:
     """The two decimals of a '(re, im) | bits' line, in units of the last digit."""
     re, im = line.split("|")[0].strip()[1:-1].split(",")
@@ -451,6 +492,29 @@ class TestDecimalDeferredScale:
             "(0.447214, 0.000000) | 0",
             "(0.894427, 0.000000) | 1",
         ]
+
+    def test_trace_takes_each_deferred_root_once(self, capsys, tmp_path, monkeypatch):
+        # unitary gates keep scale_sq, and M sets a new one: one root per scale
+        scales = []
+        deferred_root = qstate._deferred_root
+
+        def counted(scale_sq, *args):
+            scales.append(scale_sq)
+            return deferred_root(scale_sq, *args)
+
+        monkeypatch.setattr(qstate, "_deferred_root", counted)
+        circuit = tmp_path / "c.qc"
+        circuit.write_text("qubits 2\nH 0\nX 1\nCN 0 1\nM 0\nZ 0\nH 1\n")
+        state = tmp_path / "three.qs"
+        state.write_text("(1, 0) | 00\n(1, 0) | 01\n(1, 0) | 10\n")
+        code, out, _ = run_cli(
+            capsys,
+            "trace", "--circuit", str(circuit), "--state", str(state),
+            "--randoms", "1/5", "--emit", "decimal",
+        )
+        assert code == 0
+        assert out.count("# step") == 6
+        assert len(scales) == len(set(scales)) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -2,8 +2,10 @@
 
 Each fast path is checked against the slower rule it replaces:
 
-- `QExt` division by d*sqrt(2) against the conjugate formula, which
-  still serves every other divisor;
+- `QExt` division by d*sqrt(2) and by rationals against the conjugate
+  formula, which now serves every divisor (``test_integer_scalar.py``
+  checks every `QExt` operation against its old Fraction formulas and
+  against sympy);
 - the closed-form `iter_sqrt` against the bisection loop it replaced;
 - the gates, `tensor_product` and `narrow_to_qubit` on a state's integer
   lanes times one factor, on both backends, against code that works
@@ -15,7 +17,9 @@ Each fast path is checked against the slower rule it replaces:
   ``approx_of_parts`` and ``format_fixed``'s rounding), on parts that sit
   exactly on a half-unit tie as well as random ones;
 - the CScalar view of unreduced lanes, built without reducing them,
-  against the view of the reduced state, value and text.
+  against the view of the reduced state, value and text;
+- state equality and the approximate backend's ``max_component_gap``,
+  decided on the lanes, against the same comparisons of the two views.
 
 `run_circuit`, which renormalizes only where the backend needs it, is
 checked against a fold that normalizes after every gate in
@@ -51,6 +55,7 @@ from qnet import (
     zero_qstate,
 )
 from qnet.qstate import _cscalars, physical_amplitudes
+from qnet.teleport import max_component_gap
 from qnet.scalar import approx_of_parts, format_cscalar
 
 from support import (
@@ -534,3 +539,95 @@ def test_integer_decimals_match_the_fraction_path(name, seed, digits, deferred, 
     backend = BACKENDS[name]
     state = decimal_input(random.Random(seed), backend, digits, deferred, exponent)
     assert physical_amplitudes(state, digits) == fraction_path_decimals(state, digits)
+
+
+# --- state equality and the approx gap from the lanes -------------------------------
+
+
+def random_lanes(rng, nqubits, backend):
+    """Lanes of zeros, small and large integers; the sqrt(2) lanes are zero
+    on the approximate backend."""
+    size = 1 << nqubits
+
+    def lane():
+        return tuple(
+            rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**20), 10**20)))
+            for _ in range(size)
+        )
+
+    zeros = (0,) * size
+    if backend is EXACT:
+        return lane(), lane(), lane(), lane()
+    return lane(), zeros, lane(), zeros
+
+
+def random_unit(rng, backend):
+    """A nonzero unit, with a sqrt(2) part on the exact backend."""
+    while True:
+        a = Fraction(rng.randint(-99, 99), rng.randint(1, 10 ** rng.randint(0, 12)))
+        b = Fraction(rng.randint(-99, 99), rng.randint(1, 999)) if backend is EXACT else 0
+        if a or b:
+            return backend.from_parts(a, b)
+
+
+def times(lanes, wa, wb):
+    """Every lane coefficient times wa + wb*sqrt(2)."""
+    re_a, re_b, im_a, im_b = lanes
+    return (
+        tuple(x * wa + 2 * y * wb for x, y in zip(re_a, re_b)),
+        tuple(x * wb + y * wa for x, y in zip(re_a, re_b)),
+        tuple(x * wa + 2 * y * wb for x, y in zip(im_a, im_b)),
+        tuple(x * wb + y * wa for x, y in zip(im_a, im_b)),
+    )
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 4), perturb=st.booleans())
+def test_lane_equality_matches_the_view(name, seed, nqubits, perturb):
+    # the same state written over other lanes and another unit: lanes times
+    # w = wa + wb*sqrt(2), unit / w; one changed integer makes it differ
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    lanes = random_lanes(rng, nqubits, backend)
+    unit = random_unit(rng, backend)
+    a = QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
+    wa, wb = rng.choice((1, -1, 2, rng.randint(-50, 50) or 3)), 0
+    if backend is EXACT:
+        wb = rng.choice((0, 1, rng.randint(-50, 50)))
+    other = [list(lane) for lane in times(lanes, wa, wb)]
+    if perturb:
+        lane = rng.choice((0, 1, 2, 3) if backend is EXACT else (0, 2))
+        other[lane][rng.randrange(1 << nqubits)] += rng.choice((1, -1))
+    b = QState.from_lanes(nqubits, other, unit / backend.from_parts(wa, wb), backend.one, backend)
+    assert (a == b) == (a.amps == b.amps) == (not perturb)
+    assert (b == a) == (a == b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 4))
+def test_lane_gap_matches_the_view(seed, nqubits):
+    backend = BACKENDS["approx"]
+    rng = random.Random(seed)
+
+    def state():
+        lanes = random_lanes(rng, nqubits, backend)
+        return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), backend.one, backend)
+
+    def view_gap(a, b):
+        gap = Fraction(0)
+        for x, y in zip(a.amps, b.amps):
+            gap = max(gap, abs(x.re - y.re), abs(x.im - y.im))
+        return gap
+
+    a, b = state(), state()
+    for x, y in ((a, b), (b, a), (a, a)):
+        gap = max_component_gap(x, y)
+        assert type(gap) is Fraction and gap == view_gap(x, y)
+    assert max_component_gap(a, a) == 0
+
+
+def test_lane_gap_is_defined_on_the_approximate_backend_only():
+    state = zero_qstate(2)
+    with pytest.raises(TypeError):
+        max_component_gap(state, state)

@@ -1,7 +1,10 @@
 """The README's examples run as written and print what it shows."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from qnet.cli import main
@@ -44,3 +47,17 @@ def test_cli_session_prints_what_readme_shows(tmp_path, capsys, monkeypatch):
             continue
         assert main(argv[1:]) == 0
         assert capsys.readouterr().out == shown
+
+
+def test_install_free_command_runs_from_the_checkout():
+    block = re.search(r"```sh\n(.*?)```", section("## Install"), re.DOTALL)[1]
+    env_assignment, *argv = shlex.split(block.strip())
+    assert env_assignment == "PYTHONPATH=src" and argv[:3] == ["python", "-m", "qnet"]
+    root = README.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, *argv[1:]], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "PASS"
