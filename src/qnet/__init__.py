@@ -23,6 +23,7 @@ from .interpreter import (
     Gate,
     RandomStream,
     TraceEvent,
+    branches,
     count_measurements,
     parse_circuit,
     run_circuit,
@@ -87,6 +88,7 @@ __all__ = [
     "Term",
     "TraceEvent",
     "approx_of_qext",
+    "branches",
     "count_measurements",
     "format_state",
     "gate_CN",

@@ -118,6 +118,25 @@ def gate_CN(state: QState, c: int, n: int) -> QState:
     return _on_halves(state, cmask, flip_where_set, state.unit)
 
 
+def measure_split(state: QState, n: int) -> tuple:
+    """Qubit n's measurement split: the integer norm sums (x, y), for
+    x + y*sqrt(2), of its |0> and |1> halves, and `collapse(outcome)`, the
+    state with the other half zeroed, unscaled.  The sums share the factor
+    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums."""
+    mask = qubit_mask(state.nqubits, n)
+    halves = [_split(lane, mask) for lane in state.lanes]
+    sums = tuple(lane_norm_sq(*(h[side] for h in halves)) for side in (0, 1))
+    if not sums[0][0] + sums[1][0]:
+        raise ValueError("cannot measure the zero state")
+    zeros = [0] * (1 << (state.nqubits - 1))
+
+    def collapse(outcome) -> QState:
+        kept = ((zeros, hi) if outcome else (lo, zeros) for lo, hi in halves)
+        return state.with_lanes((_merge(lo, hi, mask) for lo, hi in kept), state.unit)
+
+    return sums, collapse
+
+
 def gate_M(state: QState, n: int, r) -> QState:
     """Measure qubit n against random draw r in [0, 1].
 
@@ -130,20 +149,7 @@ def gate_M(state: QState, n: int, r) -> QState:
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("random draw must lie in [0, 1]")
-    mask = qubit_mask(state.nqubits, n)
-    halves = [_split(lane, mask) for lane in state.lanes]
-    # p0 = Z / (Z + O) for the integer norm sums Z, O of the two sides (the
-    # common factor unit^2 > 0 cancels, and so does scale_sq), so r < p0
-    # iff r.den * Z - r.num * (Z + O) > 0: a sign test in Z[sqrt(2)]
-    zx, zy = lane_norm_sq(*(lo for lo, _ in halves))
-    ox, oy = lane_norm_sq(*(hi for _, hi in halves))
-    if not zx + ox:
-        raise ValueError("cannot measure the zero state")
+    ((zx, zy), (ox, oy)), collapse = measure_split(state, n)
+    # r < p0 iff r.den * Z - r.num * (Z + O) > 0: a sign test in Z[sqrt(2)]
     u, v = r.numerator, r.denominator
-    outcome = sign(v * zx - u * (zx + ox), v * zy - u * (zy + oy)) <= 0
-    zeros = [0] * (1 << (state.nqubits - 1))
-    if outcome:
-        lanes = (_merge(zeros, hi, mask) for _, hi in halves)
-    else:
-        lanes = (_merge(lo, zeros, mask) for lo, _ in halves)
-    return state.with_lanes(lanes, state.unit)
+    return collapse(sign(v * zx - u * (zx + ox), v * zy - u * (zy + oy)) <= 0)

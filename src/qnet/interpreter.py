@@ -7,7 +7,8 @@ gates consume a draw.  The state is renormalized after every M gate, and
 on the approximate backend after every gate.  The exact backend skips the
 renormalization after the unitary gates because there it would return
 the state unchanged (see ``_run``), so the states it yields, and prints,
-are those of normalizing after every gate.
+are those of normalizing after every gate.  `branches` walks every M
+outcome instead, with no draws, and yields each branch's exact probability.
 
 Circuit text grammar (one gate per line):
 
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import gates as _gates
 from .errors import ParseError, RandomStreamExhausted
 from .qstate import QState, normalize
-from .scalar import parse_int
+from .scalar import Scalar, parse_int
 
 GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "I": 1, "M": 1, "CN": 2}
 
@@ -176,12 +177,30 @@ def _qubit_count(declared: int | None, nqubits: int | None) -> int:
     return total
 
 
-def _apply(gate: Gate, state: QState, rs: RandomStream) -> tuple[QState, Fraction | None]:
-    # looked up per call, so a rebinding of gates.gate_<kind> takes effect
-    if gate.kind == "M":
-        draw = rs.draw()
-        return _gates.gate_M(state, gate.operands[0], draw), draw
-    return getattr(_gates, "gate_" + gate.kind)(state, *gate.operands), None
+def _step(step: int, gate: Gate, state: QState, draw: Fraction | None) -> QState:
+    """`state` after `gate`, normalized after an M gate and, where the
+    backend asks for it, after every gate (see `_run`).  An M gate without
+    a draw takes `state` as already collapsed (see `branches`).  A
+    ValueError, ZeroDivisionError or IndexError is raised again with a
+    "step N (GATE): " prefix."""
+    try:
+        # looked up per call, so a rebinding of gates.gate_<kind> takes effect
+        if gate.kind != "M":
+            state = getattr(_gates, "gate_" + gate.kind)(state, *gate.operands)
+        elif draw is not None:
+            state = _gates.gate_M(state, gate.operands[0], draw)
+        if gate.kind == "M" or state.backend.normalizes_after_unitaries:
+            state = normalize(state)
+    except (ValueError, ZeroDivisionError, IndexError) as exc:
+        raise type(exc)(f"step {step} ({gate}): {exc}") from exc
+    return state
+
+
+def _check_width(circuit: Circuit, qstate: QState) -> None:
+    if qstate.nqubits != circuit.nqubits:
+        raise ValueError(
+            f"state has {qstate.nqubits} qubits, circuit has {circuit.nqubits}"
+        )
 
 
 def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):
@@ -197,32 +216,58 @@ def _run(circuit: Circuit, qstate: QState, rs: RandomStream, record: bool):
     and scale_sq unchanged.  Only M changes the norm.  The approximate
     backend's sqrt(2) and roots are rational stand-ins, so it still
     renormalizes after every gate.
-
-    A ValueError, ZeroDivisionError or IndexError from a gate or the
-    normalization after it is raised again with a "step N (GATE): " prefix.
     """
-    if qstate.nqubits != circuit.nqubits:
-        raise ValueError(
-            f"state has {qstate.nqubits} qubits, circuit has {circuit.nqubits}"
-        )
+    _check_width(circuit, qstate)
     needed = count_measurements(circuit)
     if rs.remaining < needed:
         raise RandomStreamExhausted(
             f"circuit has {needed} M gate(s) but only {rs.remaining} draw(s) remain"
         )
     state = normalize(qstate)
-    every_gate = state.backend.normalizes_after_unitaries
     events: list[TraceEvent] = []
     for step, gate in enumerate(circuit.gates, start=1):
-        try:
-            state, draw = _apply(gate, state, rs)
-            if every_gate or gate.kind == "M":
-                state = normalize(state)
-        except (ValueError, ZeroDivisionError, IndexError) as exc:
-            raise type(exc)(f"step {step} ({gate}): {exc}") from exc
+        draw = rs.draw() if gate.kind == "M" else None
+        state = _step(step, gate, state, draw)
         if record:
             events.append(TraceEvent(step, gate, state, draw))
     return state, tuple(events)
+
+
+def branches(
+    circuit: Circuit, qstate: QState
+) -> Iterator[tuple[tuple[int, ...], Scalar, QState]]:
+    """Every sequence of M outcomes with nonzero probability, as
+    (outcomes, probability, state): depth first, outcome 0 before 1.
+
+    `outcomes` holds one 0 or 1 per M gate.  The probability is exact, in
+    the backend's field: a product of p0 = Z / (Z + O) or 1 - p0 for the
+    integer norm sums Z, O of each measured qubit's halves, so the
+    probabilities sum to exactly ``backend.one``.  The state is the one
+    `run_circuit` reaches with draw 0 for outcome 0 and draw 1 for outcome
+    1.  Gates before an M run once for both outcomes, each M splits its
+    input once, and a branch of probability 0 is never entered.
+    """
+    _check_width(circuit, qstate)
+    backend, gates = qstate.backend, circuit.gates
+    pending = [(0, (), backend.one, normalize(qstate))]
+    while pending:
+        index, outcomes, prob, state = pending.pop()
+        while index < len(gates) and gates[index].kind != "M":
+            gate, index = gates[index], index + 1
+            state = _step(index, gate, state, None)
+        if index == len(gates):
+            yield outcomes, prob, state
+            continue
+        gate, index = gates[index], index + 1
+        # a normalized state of the circuit's width: the split cannot fail
+        sums, collapse = _gates.measure_split(state, gate.operands[0])
+        total = backend.from_parts(sums[0][0] + sums[1][0], sums[0][1] + sums[1][1])
+        for outcome in (1, 0):  # pushed so that outcome 0 is taken first
+            x, y = sums[outcome]
+            if x:  # x is a sum of squares, 0 only for an all-zero half
+                branch = _step(index, gate, collapse(outcome), None)
+                p = prob * (backend.from_parts(x, y) / total)
+                pending.append((index, (*outcomes, outcome), p, branch))
 
 
 def run_circuit(circuit: Circuit, qstate: QState, rs: RandomStream) -> QState:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .interpreter import Circuit, Gate, RandomStream, run_circuit
+from .interpreter import Circuit, Gate, RandomStream, branches, run_circuit
 from .qstate import (
     QState,
     Term,
@@ -55,7 +55,9 @@ _BOB_GATES = {
 
 #: Draw pairs covering the four measurement branches: within each half
 #: interval the exact threshold comparisons are constant, so one
-#: representative per quadrant exercises every behavior.
+#: representative per quadrant exercises every behavior.  That holds
+#: because each branch has probability exactly 1/4, which
+#: `verify_teleportation` checks by walking the branches.
 BRANCH_DRAWS = (
     (Fraction(1, 4), Fraction(1, 4)),
     (Fraction(1, 4), Fraction(3, 4)),
@@ -81,16 +83,21 @@ def _check_unit_hypothesis(alpha: CScalar, beta: CScalar, backend: Backend) -> N
         raise ValueError("input qubit must satisfy |alpha|^2 + |beta|^2 = 1")
 
 
+def _payload(alpha: CScalar, beta: CScalar, backend: Backend):
+    """alpha and beta in the backend's field, checked to be unit, the
+    payload qubit, and Alice's initial state: the payload tensored with |00>."""
+    alpha = to_backend(alpha, backend)
+    beta = to_backend(beta, backend)
+    _check_unit_hypothesis(alpha, beta, backend)
+    qubit = make_qubit(alpha, beta, backend)
+    return alpha, beta, qubit, tensor_product(qubit, zero_qstate(2, backend))
+
+
 def teleport_alice(
     alpha: CScalar, beta: CScalar, r1, r2, backend: Backend = EXACT
 ) -> AliceResult:
     """Run Alice's six-gate circuit on (alpha, beta) tensored with |00>."""
-    alpha = to_backend(alpha, backend)
-    beta = to_backend(beta, backend)
-    _check_unit_hypothesis(alpha, beta, backend)
-    initial = tensor_product(
-        make_qubit(alpha, beta, backend), zero_qstate(2, backend)
-    )
+    initial = _payload(alpha, beta, backend)[3]
     state = run_circuit(ALICE_CIRCUIT, initial, RandomStream([r1, r2]))
     return AliceResult(
         state,
@@ -197,43 +204,47 @@ def max_component_gap(a: QState, b: QState) -> Fraction:
 def verify_teleportation(
     inputs=DEFAULT_INPUTS, backend: Backend = EXACT
 ) -> TeleportReport:
-    """Check every input against all four draw branches.
+    """Check every input on its measurement branches 00, 01, 10 and 11.
 
-    Per case: Alice's state must match the spelled-out branch exactly
-    (first two branches), her measured bits must follow the draws, and
-    narrowing the protocol output to qubit 2 must reproduce the input
-    qubit — exactly in the exact backend, within tolerance (annotated in
-    the detail) in the approximate one.
+    Alice's circuit is walked once per input (`branches`), with no draws.
+    Each branch must be reached with probability exactly 1/4, which is
+    why the comparisons are constant within each half interval of
+    `BRANCH_DRAWS`.  Per branch the measured bits must equal its outcomes,
+    Alice's state must match the spelled-out branch exactly (first two
+    branches), and narrowing the protocol output to qubit 2 must reproduce
+    the input qubit: exactly in the exact backend, within tolerance
+    (annotated in the detail) in the approximate one.
     """
     approx = isinstance(backend, ApproxBackend)
     tol = backend.check_tol if approx else None
+    quarter = backend.from_parts(Fraction(1, 4), 0)
     cases: list[TeleportCase] = []
-    index = 0
     for alpha, beta in inputs:
-        alpha = to_backend(alpha, backend)
-        beta = to_backend(beta, backend)
-        for r1, r2 in BRANCH_DRAWS:
+        alpha, beta, expected_qubit, initial = _payload(alpha, beta, backend)
+        reached = {o: (p, s) for o, p, s in branches(ALICE_CIRCUIT, initial)}
+        for m0, m1 in _BOB_GATES:
+            name = f"{int(m0)}{int(m1)}"
+            if (m0, m1) not in reached:
+                detail = f"branch {name} not reached: probability 0"
+                cases.append(TeleportCase(len(cases), alpha, beta, m0, m1, False, detail))
+                continue
+            prob, state = reached[m0, m1]
             problems: list[str] = []
-            alice = teleport_alice(alpha, beta, r1, r2, backend)
-            want_m0, want_m1 = r1 >= Fraction(1, 2), r2 >= Fraction(1, 2)
-            if (alice.m0, alice.m1) != (want_m0, want_m1):
-                problems.append(
-                    f"measured ({int(alice.m0)},{int(alice.m1)}),"
-                    f" draws imply ({int(want_m0)},{int(want_m1)})"
-                )
-            expected_state = _expected_alice_state(
-                alpha, beta, alice.m0, alice.m1, backend
-            )
+            bits = get_deterministic_qubit(state, 0), get_deterministic_qubit(state, 1)
+            if bits != (m0, m1):
+                problems.append(f"measured ({int(bits[0])},{int(bits[1])}), branch is {name}")
+            if prob != quarter:
+                problems.append(f"branch {name} has probability {prob}, not 1/4")
+            expected_state = _expected_alice_state(alpha, beta, m0, m1, backend)
             if expected_state is not None:
                 if approx:
-                    gap = max_component_gap(alice.state, expected_state)
+                    gap = max_component_gap(state, expected_state)
                     if gap > tol:
                         problems.append(f"alice state off by {float(gap):.3g}")
-                elif alice.state != expected_state:
+                elif state != expected_state:
                     problems.append("alice state differs from expected branch state")
-            final = teleport_bob(alice.state, alice.m0, alice.m1)
+            final = teleport_bob(state, m0, m1)
             narrowed = narrow_to_qubit(final, 2)
-            expected_qubit = make_qubit(alpha, beta, backend)
             if approx:
                 gap = max_component_gap(narrowed, expected_qubit)
                 detail = f"qubit 2 within {float(gap):.3g} of input (tol {float(tol):.3g})"
@@ -246,16 +257,6 @@ def verify_teleportation(
                         f"qubit 2 is {format_cscalar(narrowed.coeff(0))},"
                         f" {format_cscalar(narrowed.coeff(1))}"
                     )
-            cases.append(
-                TeleportCase(
-                    index,
-                    alpha,
-                    beta,
-                    alice.m0,
-                    alice.m1,
-                    not problems,
-                    "; ".join(problems) or detail,
-                )
-            )
-            index += 1
+            detail = "; ".join(problems) or detail
+            cases.append(TeleportCase(len(cases), alpha, beta, m0, m1, not problems, detail))
     return TeleportReport(tuple(cases))

@@ -21,6 +21,10 @@ Each fast path is checked against the slower rule it replaces:
 - state equality and the approximate backend's ``max_component_gap``,
   decided on the lanes, against the same comparisons of the two views.
 
+- `branches`, which walks every M outcome with no draws, against
+  `run_circuit` with draw 0 for outcome 0 and draw 1 for outcome 1, and
+  its probabilities against the shares of `norm_sq` that M keeps.
+
 `run_circuit`, which renormalizes only where the backend needs it, is
 checked against a fold that normalizes after every gate in
 `test_interpreter.py::TestEvaluationProperties::test_matches_manual_fold`.
@@ -40,6 +44,8 @@ from qnet import (
     NotRepresentableError,
     QExt,
     QState,
+    RandomStream,
+    branches,
     gate_CN,
     gate_H,
     gate_I,
@@ -49,7 +55,9 @@ from qnet import (
     iter_sqrt,
     make_qubit,
     narrow_to_qubit,
+    norm_sq,
     normalize,
+    run_circuit_traced,
     tensor_product,
     to_backend,
     zero_qstate,
@@ -59,6 +67,7 @@ from qnet.teleport import max_component_gap
 from qnet.scalar import approx_of_parts, format_cscalar
 
 from support import (
+    ops_to_circuit,
     rand_circuit_ops,
     rand_cscalar,
     rand_draws,
@@ -228,6 +237,46 @@ def test_lane_gates_match_cscalar_gates(name, seed, nqubits, ngates):
         assert state.amps == amps
         assert state.scale_sq == scale_sq
         assert_sqrt2_lanes_zero(state)
+
+
+
+# --- the branch walk against the draw path ------------------------------------------
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 5), ngates=st.integers(0, 16))
+def test_branches_match_the_draw_path(name, seed, nqubits, ngates):
+    # every branch is the state run_circuit reaches with draw 0 for outcome
+    # 0 (taken iff p0 > 0) and draw 1 for outcome 1 (always taken), from a
+    # random state that is mostly deferred on the exact backend
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    start = rand_state(rng, nqubits)
+    amps = tuple(to_backend(c, backend) for c in start.amps)
+    state = QState(nqubits, amps, backend.one, backend)
+    ops = rand_circuit_ops(rng, nqubits, ngates)
+    extra_m = [i for i, op in enumerate(ops) if op[0] == "M"][6:]
+    for i in extra_m:  # at most 6 M gates, at most 64 branches
+        ops[i] = ("H", ops[i][1])
+    circuit = ops_to_circuit(ops, nqubits)
+    total = backend.zero
+    seen = []
+    for outcomes, p, got in branches(circuit, state):
+        want, events = run_circuit_traced(circuit, state, RandomStream(outcomes))
+        assert (got.lanes, got.unit, got.scale_sq) == (want.lanes, want.unit, want.scale_sq)
+        # the probability is the product of each M's kept share of norm_sq
+        share, before = backend.one, normalize(state)
+        for event in events:
+            if event.draw is not None:
+                kept = gate_M(before, event.gate.operands[0], event.draw)
+                share = share * (norm_sq(kept) / norm_sq(before))
+            before = event.state
+        assert p == share and backend.sign(p) > 0
+        total += p
+        seen.append(outcomes)
+    assert total == backend.one
+    assert seen == sorted(seen)
 
 
 # --- tensor_product and narrow_to_qubit on CScalar coefficients --------------------

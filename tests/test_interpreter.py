@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qnet.gates
 from qnet import (
     CScalar,
     Circuit,
@@ -10,6 +12,7 @@ from qnet import (
     QExt,
     RandomStream,
     Term,
+    branches,
     count_measurements,
     gate_CN,
     gate_H,
@@ -17,6 +20,7 @@ from qnet import (
     gate_M,
     gate_X,
     gate_Z,
+    make_qubit,
     normalize,
     parse_circuit,
     run_circuit,
@@ -348,3 +352,87 @@ class TestEvaluationProperties:
                     abs(amp.imag - scalar_to_float(term.coeff.im)),
                 )
                 assert diff <= 1e-6
+
+
+def walk(text, state):
+    return list(branches(parse_circuit(text, state.nqubits), state))
+
+
+class TestBranches:
+    def test_bell_measurement_splits_in_halves(self):
+        (zero, p0, s0), (one, p1, s1) = walk("H 0\nCN 0 1\nM 0", zero_qstate(2))
+        assert (zero, one) == ((0,), (1,))
+        assert p0 == p1 == QExt(F(1, 2))
+        assert s0 == zero_qstate(2)
+        assert s1 == sort_and_merge([Term(CScalar(QExt(1)), (True, True))], 2)
+
+    def test_probability_is_the_exact_norm_share(self):
+        payload = make_qubit(CScalar(QExt(F(3, 5))), CScalar(QExt(0), QExt(F(4, 5))))
+        got = [(o, p) for o, p, _ in walk("M 0", payload)]
+        assert got == [((0,), QExt(F(9, 25))), ((1,), QExt(F(16, 25)))]
+
+    def test_circuit_without_m_is_one_branch(self):
+        rng = random.Random(211)
+        state = rand_state(rng, 3)
+        circuit = ops_to_circuit(rand_circuit_ops(rng, 3, 12), 3)
+        circuit = Circuit(tuple(g for g in circuit.gates if g.kind != "M"), 3)
+        [(outcomes, p, out)] = branches(circuit, state)
+        assert (outcomes, p) == ((), QExt(1))
+        assert states_identical(out, run_circuit(circuit, state, RandomStream([])))
+
+    def test_zero_weight_branches_are_never_entered(self):
+        # on zero:1, run_circuit with draw 1 empties the state and fails
+        assert [(o, p) for o, p, _ in walk("M 0", zero_qstate(1))] == [((0,), QExt(1))]
+        assert [(o, p) for o, p, _ in walk("X 0\nM 0", zero_qstate(1))] == [((1,), QExt(1))]
+
+    def test_depth_first_outcome_zero_first(self):
+        got = [o for o, _, _ in walk("H 0\nH 1\nM 0\nM 1", zero_qstate(2))]
+        assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_shared_prefix_and_one_split_per_m(self, monkeypatch):
+        calls = {"H": 0, "split": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(qnet.gates, "gate_H", counted("H", qnet.gates.gate_H))
+        monkeypatch.setattr(qnet.gates, "measure_split", counted("split", qnet.gates.measure_split))
+        monkeypatch.setattr(qnet.gates, "gate_M", None)  # the walk draws nothing
+        walker = branches(parse_circuit("H 0\nM 0\nH 1\nM 1", 2), zero_qstate(2))
+        next(walker)  # lazy: branch (0, 0) needs one split per M on its path
+        assert calls == {"H": 2, "split": 2}
+        assert len(list(walker)) == 3
+        # H 0 and the split of M 0 once, shared by both outcomes; H 1 and
+        # the split of M 1 once per outcome of M 0
+        assert calls == {"H": 3, "split": 3}
+
+    def test_errors_name_the_step(self, monkeypatch):
+        with pytest.raises(ValueError, match="state has 3 qubits"):
+            next(branches(parse_circuit("M 0", 2), zero_qstate(3)))
+
+        def broken(state, n):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(qnet.gates, "gate_X", broken)
+        with pytest.raises(ValueError, match="^step 3 \\(X 1\\): broken$"):
+            list(walk("H 0\nM 0\nX 1", zero_qstate(2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 6), ngates=st.integers(0, 14))
+    def test_stabilizer_branches_have_dyadic_probabilities(self, seed, nqubits, ngates):
+        # X, Z, H, I, CN and M from zero:n keep a stabilizer state: every M
+        # has p0 in {0, 1/2, 1}, and every amplitude is a phase over
+        # sqrt(2)^k, whose norm is in the field, so nothing is deferred
+        ops = rand_circuit_ops(random.Random(seed), nqubits, ngates)
+        circuit = ops_to_circuit(ops, nqubits)
+        measured = count_measurements(circuit)
+        total = QExt(0)
+        for outcomes, p, state in branches(circuit, zero_qstate(nqubits)):
+            assert len(outcomes) == measured
+            assert p in {QExt(F(1, 2**j)) for j in range(measured + 1)}
+            assert state.scale_sq == QExt(1)
+            total += p
+        assert total == QExt(1)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qnet import (
+    Circuit,
     CScalar,
     QExt,
     Term,
@@ -17,7 +18,9 @@ from qnet import (
 )
 from qnet.scalar import ApproxBackend
 from qnet.teleport import BRANCH_DRAWS, DEFAULT_INPUTS
+import qnet.gates
 import qnet.teleport
+from qnet.cli import main
 
 import oracle
 from support import rand_unit_pair, state_to_complex
@@ -192,3 +195,41 @@ class TestVerification:
     def test_default_inputs_are_exactly_unit(self):
         for alpha, beta in DEFAULT_INPUTS:
             assert alpha.norm_sq() + beta.norm_sq() == QExt(1)
+
+
+class TestBranchWalk:
+    def test_runs_alice_once_per_input_and_draws_nothing(self, monkeypatch):
+        calls = []
+        gate_h = qnet.gates.gate_H
+        monkeypatch.setattr(qnet.gates, "gate_M", None)
+        monkeypatch.setattr(qnet.gates, "gate_H", lambda *a: calls.append(a) or gate_h(*a))
+        assert verify_teleportation().all_passed
+        assert len(calls) == 2 * len(DEFAULT_INPUTS)  # Alice's two H gates
+
+    def test_broken_alice_still_reports_four_branches(self, monkeypatch, capsys):
+        # without H 0, M 0 reads the payload: a basis payload never reaches
+        # two of the branches, and no branch has probability 1/4
+        gates = tuple(g for g in qnet.teleport.ALICE_CIRCUIT.gates if str(g) != "H 0")
+        monkeypatch.setattr(qnet.teleport, "ALICE_CIRCUIT", Circuit(gates, 3))
+        report = verify_teleportation()
+        assert [c.summary_line().split()[3] for c in report.cases] == ["00", "01", "10", "11"] * 4
+        details = [c.detail for c in report.cases]
+        assert details[2] == "branch 10 not reached: probability 0"
+        assert details[0].startswith("branch 00 has probability 1/2, not 1/4")
+        assert main(["verify-teleport"]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("case ") for line in lines) == 4 * len(DEFAULT_INPUTS)
+        assert any(line.endswith(": FAIL") for line in lines)
+        assert lines[-1] == "FAIL"
+
+    def test_mislabeled_branches_fail_the_measured_bits_check(self, monkeypatch):
+        walk = qnet.teleport.branches
+
+        def flipped(circuit, state):
+            for outcomes, p, out in walk(circuit, state):
+                yield tuple(1 - b for b in outcomes), p, out
+
+        monkeypatch.setattr(qnet.teleport, "branches", flipped)
+        report = verify_teleportation(inputs=DEFAULT_INPUTS[:1])
+        assert not any(c.passed for c in report.cases)
+        assert report.cases[0].detail.startswith("measured (1,1), branch is 00")
