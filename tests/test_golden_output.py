@@ -83,6 +83,14 @@ CASES = {
         "trace", "--circuit", "{circuit3}", "--state", "{deferred3}",
         "--randoms", "1/5,3/5", "--emit", "decimal", "--digits", "30",
     ],
+    "trace-4q-exact-sparse": [
+        "trace", "--circuit", "{circuit4}", "--state", "zero:4",
+        "--randoms", "2/5,3/7,5/8,1/3", "--sparse-output",
+    ],
+    "trace-4q-rational-decimal": [
+        "trace", "--circuit", "{circuit4}", "--state", "{rational4}",
+        "--randoms", "2/5,3/7,5/8,1/3", "--emit", "decimal", "--digits", "9",
+    ],
     "trace-3q-approx-decimal": [
         "trace", "--circuit", "{circuit3}", "--state", "zero:3",
         "--randoms", "1/3,2/3", "--backend", "approx", "--eps", "1/1000",
