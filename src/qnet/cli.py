@@ -38,7 +38,7 @@ from .interpreter import RandomStream, parse_circuit, run_circuit, run_circuit_t
 from .qstate import (
     QState,
     basis_label,
-    format_state,
+    exact_texts,
     make_qubit,
     narrow_to_qubit,
     normalize,
@@ -124,19 +124,48 @@ def _random_stream(args) -> RandomStream:
     return RandomStream(parse_rational(p) for p in pieces if p.strip())
 
 
+class RenderCache:
+    """What the states of one command share when rendered: the deferred
+    roots of ``physical_amplitudes``, the basis labels of each width, and
+    the text of each lane entry under one (emit, digits, unit, scale_sq,
+    backend) key at a time; a new key replaces the texts."""
+
+    def __init__(self):
+        self.roots: dict = {}
+        self.labels: dict[int, list[str]] = {}
+        self.key = None
+        self.texts: dict[tuple, str] = {}
+
+
 def render_state(
-    state: QState, emit: str, digits: int, sparse: bool, roots: dict | None = None
+    state: QState, emit: str, digits: int, sparse: bool, cache: RenderCache | None = None
 ) -> list[str]:
-    """The output lines of one state; ``roots`` is passed on to
-    ``physical_amplitudes``, so the states of one run share their roots."""
-    if emit == "exact":
-        return format_state(state, sparse=sparse)
-    amplitudes = physical_amplitudes(state, digits, roots)
+    """The output lines of one state; only lane entries that ``cache``
+    holds no text for are formatted."""
+    if cache is None:
+        cache = RenderCache()
+    key = (emit, digits, state.unit, state.scale_sq, state.backend)
+    if key != cache.key:
+        cache.key, cache.texts = key, {}
+    texts = cache.texts
+    entries = list(zip(*state.lanes))
+    missing = [entry for entry in dict.fromkeys(entries) if entry not in texts]
+    if missing:
+        part = state.with_lanes(zip(*missing), state.unit)  # their width is not checked
+        if emit == "exact":
+            texts.update(zip(missing, exact_texts(part)))
+        else:
+            texts.update(
+                (entry, f"({format_scaled(re, digits)}, {format_scaled(im, digits)})")
+                for entry, (re, im) in zip(missing, physical_amplitudes(part, digits, cache.roots))
+            )
+    n = state.nqubits
+    if n not in cache.labels:
+        cache.labels[n] = [basis_label(i, n) for i in range(1 << n)]
     return [
-        f"({format_scaled(re, digits)}, {format_scaled(im, digits)})"
-        f" | {basis_label(i, state.nqubits)}"
-        for i, (lane, (re, im)) in enumerate(zip(zip(*state.lanes), amplitudes))
-        if any(lane) or not sparse
+        f"{texts[entry]} | {label}"
+        for entry, label in zip(entries, cache.labels[n])
+        if not sparse or any(entry)
     ]
 
 
@@ -152,22 +181,21 @@ def cmd_run(args) -> int:
     circuit = parse_circuit(_read(args.circuit), args.qubits)
     initial = _initial_state(args.state, backend)
     stream = _random_stream(args)
+    cache = RenderCache()
     if args.command == "trace":
         _, events = run_circuit_traced(circuit, initial, stream)
-        roots: dict = {}
         lines = ["# initial"]
-        lines += render_state(normalize(initial), args.emit, digits, args.sparse_output, roots)
+        lines += render_state(normalize(initial), args.emit, digits, args.sparse_output, cache)
         for event in events:
             label = f"# step {event.step}: {event.gate}"
             if event.draw is not None:
                 label += f" r={event.draw}"
             lines += ["", label]
-            lines += render_state(event.state, args.emit, digits, args.sparse_output, roots)
+            lines += render_state(event.state, args.emit, digits, args.sparse_output, cache)
     else:
         final = run_circuit(circuit, initial, stream)
-        lines = render_state(final, args.emit, digits, args.sparse_output)
-    for line in lines:
-        print(line)
+        lines = render_state(final, args.emit, digits, args.sparse_output, cache)
+    print("\n".join(lines))  # one write, after the run: a failing command prints nothing
     return EXIT_OK
 
 
@@ -178,36 +206,35 @@ def cmd_teleport(args) -> int:
     r1 = parse_rational(args.r1)
     r2 = parse_rational(args.r2)
     final = teleport_protocol(alpha, beta, r1, r2, backend)
-    print("# final state")
-    for line in format_state(final):
-        print(line)
+    lines = ["# final state", *render_state(final, "exact", 6, sparse=False)]
     narrowed = narrow_to_qubit(final, 2)
     expected = make_qubit(alpha, beta, backend)
-    print(f"# qubit 2:  {format_cscalar(narrowed.coeff(0))} {format_cscalar(narrowed.coeff(1))}")
-    print(f"# expected: {format_cscalar(expected.coeff(0))} {format_cscalar(expected.coeff(1))}")
+    lines.append(f"# qubit 2:  {format_cscalar(narrowed.coeff(0))} {format_cscalar(narrowed.coeff(1))}")
+    lines.append(f"# expected: {format_cscalar(expected.coeff(0))} {format_cscalar(expected.coeff(1))}")
     if isinstance(backend, ApproxBackend):
         deviation = max_component_gap(narrowed, expected)
         passed = deviation <= backend.check_tol
-        print(f"# max deviation: {format_fixed(deviation, 10)}")
+        lines.append(f"# max deviation: {format_fixed(deviation, 10)}")
     else:
         passed = narrowed == expected
-        print("# max deviation: 0.0000000000" if passed else "# states differ")
-    print("PASS" if passed else "FAIL")
+        lines.append("# max deviation: 0.0000000000" if passed else "# states differ")
+    lines.append("PASS" if passed else "FAIL")
+    print("\n".join(lines))
     return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_verify_teleport(args) -> int:
     backend = _backend_from_args(args)
     report = verify_teleportation(DEFAULT_INPUTS, backend)
-    print(f"# teleportation verification, backend {backend.name},"
-          f" {len(report.cases)} cases")
+    lines = [f"# teleportation verification, backend {backend.name}, {len(report.cases)} cases"]
     for case in report.cases:
-        print(
+        lines.append(
             f"# input alpha={format_cscalar(case.alpha)}"
             f" beta={format_cscalar(case.beta)}: {case.detail}"
         )
-        print(case.summary_line())
-    print("PASS" if report.all_passed else "FAIL")
+        lines.append(case.summary_line())
+    lines.append("PASS" if report.all_passed else "FAIL")
+    print("\n".join(lines))
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 

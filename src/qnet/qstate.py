@@ -451,7 +451,17 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
 
 
 def format_state(state: QState, sparse: bool = False) -> list[str]:
-    """Render a state in the exact state-file grammar, one term per line.
+    """Render a state in the exact state-file grammar, one term per line;
+    fails as ``exact_texts`` does."""
+    return [
+        f"{text} | {basis_label(i, state.nqubits)}"
+        for i, (text, entry) in enumerate(zip(exact_texts(state), zip(*state.lanes)))
+        if any(entry) or not sparse
+    ]
+
+
+def exact_texts(state: QState) -> list[str]:
+    """``format_cscalar`` of every coefficient, in basis-index order.
 
     Fails when normalization is deferred: the physical amplitudes would
     need a square root outside the scalar field, and when an amplitude has
@@ -462,11 +472,7 @@ def format_state(state: QState, sparse: bool = False) -> list[str]:
             "amplitudes have a deferred scale and no exact rendering"
         )
     try:
-        return [
-            f"{format_cscalar(c)} | {basis_label(i, state.nqubits)}"
-            for i, c in enumerate(state.amps)
-            if c or not sparse
-        ]
+        return [format_cscalar(c) for c in state.amps]
     except ValueError:  # str(int) past sys.get_int_max_str_digits()
         raise NotRepresentableError(
             f"an exact amplitude has more than {sys.get_int_max_str_digits()}"

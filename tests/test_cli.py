@@ -10,23 +10,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnet import (
+    EXACT,
+    ApproxBackend,
     CScalar,
+    NotRepresentableError,
     QExt,
+    QState,
     RandomStream,
+    format_state,
     make_qubit,
+    normalize,
     parse_circuit,
     parse_state,
     run_circuit,
+    run_circuit_traced,
     tensor_product,
+    to_backend,
     zero_qstate,
 )
 from qnet import qstate
-from qnet.cli import build_parser, main, render_state
+from qnet.cli import RenderCache, build_parser, main, render_state
 from qnet.gates import gate_CN, gate_H
-from qnet.qstate import basis_label
-from qnet.scalar import format_cscalar
+from qnet.qstate import basis_label, physical_amplitudes
+from qnet.scalar import format_cscalar, format_scaled
 
-from support import SQRT2_HP, rand_state
+from support import SQRT2_HP, ops_to_circuit, rand_circuit_ops, rand_draws, rand_state
 
 FIG1 = "qubits 2\nH 0\nCN 0 1\n"
 
@@ -244,6 +252,21 @@ class TestExitCodes:
             capsys, "run", "--circuit", str(circuit), "--state", str(state)
         )
         assert code == 3
+        assert "--backend approx or --emit decimal" in err
+
+    def test_trace_that_fails_on_a_later_step_prints_nothing(self, capsys, tmp_path):
+        # the initial state renders; M 1 leaves a norm of sqrt(5)/3, which
+        # defers the scale, so step 1 has no exact rendering
+        circuit = tmp_path / "mh.qc"
+        circuit.write_text("qubits 2\nM 1\nH 0\n")
+        state = tmp_path / "thirds.qs"
+        state.write_text("(2/3, 0) | 00\n(2/3, 0) | 01\n(1/3, 0) | 10\n")
+        code, out, err = run_cli(
+            capsys,
+            "trace", "--circuit", str(circuit), "--state", str(state), "--randoms", "1/5",
+        )
+        assert code == 3
+        assert out == ""
         assert "--backend approx or --emit decimal" in err
 
     def test_not_representable_has_decimal_fallback(self, capsys, tmp_path):
@@ -586,6 +609,106 @@ class TestTrace:
         )
         assert code == 0
         assert out.splitlines() == ["# initial", "(1, 0) | 0", "(0, 0) | 1"]
+
+
+class TestRenderCache:
+    """One RenderCache per command: each distinct lane entry is formatted
+    once per (emit, digits, unit, scale_sq, backend), and the texts equal a
+    fresh render of each state."""
+
+    @staticmethod
+    def fresh(state, emit, digits, sparse):
+        """The lines of one state rendered alone, by the library rules."""
+        if emit == "exact":
+            return format_state(state, sparse)
+        amplitudes = physical_amplitudes(state, digits)
+        return [
+            f"({format_scaled(re, digits)}, {format_scaled(im, digits)})"
+            f" | {basis_label(i, state.nqubits)}"
+            for i, (entry, (re, im)) in enumerate(zip(zip(*state.lanes), amplitudes))
+            if any(entry) or not sparse
+        ]
+
+    @pytest.mark.parametrize("backend", [EXACT, ApproxBackend(F(1, 10**6))], ids=["exact", "approx"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        nqubits=st.integers(1, 4),
+        ngates=st.integers(0, 16),
+        emit=st.sampled_from(["exact", "decimal"]),
+        digits=st.integers(1, 12),
+        sparse=st.booleans(),
+        from_zero=st.booleans(),
+    )
+    def test_cached_render_equals_a_fresh_render(
+        self, backend, seed, nqubits, ngates, emit, digits, sparse, from_zero
+    ):
+        # a random state mostly defers its scale on the exact backend; a
+        # run from zero:n never does, so exact output is reached both ways
+        rng = random.Random(seed)
+        start = zero_qstate(nqubits) if from_zero else rand_state(rng, nqubits)
+        initial = QState(nqubits, [to_backend(c, backend) for c in start.amps], backend.one, backend)
+        ops = rand_circuit_ops(rng, nqubits, ngates)
+        draws = rand_draws(rng, sum(op[0] == "M" for op in ops))
+        _, events = run_circuit_traced(ops_to_circuit(ops, nqubits), initial, RandomStream(draws))
+        cache = RenderCache()
+        for state in [normalize(initial)] + [event.state for event in events]:
+            try:
+                want = self.fresh(state, emit, digits, sparse)
+            except NotRepresentableError:
+                with pytest.raises(NotRepresentableError):
+                    render_state(state, emit, digits, sparse, cache)
+                continue
+            assert render_state(state, emit, digits, sparse, cache) == want
+
+    def test_each_key_part_gets_its_own_text(self):
+        # the same lanes under two units, two scale_sqs and two digit counts
+        lanes = ((1, 0), (0, 1), (0, 0), (0, 0))  # 1 | 0 and sqrt(2) | 1
+
+        def state(unit, scale_sq=QExt(1)):
+            return QState.from_lanes(1, lanes, unit, scale_sq, EXACT)
+
+        cache = RenderCache()
+        renders = [
+            ("exact", 6, state(QExt(1))),
+            ("exact", 6, state(QExt(F(1, 2)))),
+            ("decimal", 6, state(QExt(1), QExt(3))),
+            ("decimal", 6, state(QExt(1), QExt(4))),
+            ("decimal", 3, state(QExt(1), QExt(4))),
+            ("exact", 6, state(QExt(1))),
+        ]
+        seen = []
+        for emit, digits, each in renders:
+            lines = render_state(each, emit, digits, False, cache)
+            assert lines == self.fresh(each, emit, digits, False)
+            seen.append(lines)
+        assert seen[0] == ["(1, 0) | 0", "(1*s2, 0) | 1"]
+        assert seen[1] == ["(1/2, 0) | 0", "(1/2*s2, 0) | 1"]
+        assert seen[3] == ["(0.500000, 0.000000) | 0", "(0.707107, 0.000000) | 1"]
+        assert seen[4] == ["(0.500, 0.000) | 0", "(0.707, 0.000) | 1"]
+        assert len({tuple(lines) for lines in seen}) == 5  # the last repeats the first
+
+    def test_trace_formats_each_distinct_entry_once(self, capsys, tmp_path, monkeypatch):
+        # X, Z, CN and I keep unit and scale_sq, so every step shares one key
+        formatted = []
+
+        def counted(c):
+            formatted.append(c)
+            return format_cscalar(c)
+
+        monkeypatch.setattr(qstate, "format_cscalar", counted)
+        circuit = tmp_path / "c.qc"
+        circuit.write_text("qubits 3\nX 0\nZ 1\nCN 0 2\nI 1\nZ 0\nX 2\nCN 2 1\n")
+        state = tmp_path / "four.qs"
+        state.write_text("(1, 0) | 000\n(0, 1) | 011\n(-1, 0) | 110\n(0, -1) | 101\n")
+        code, out, _ = run_cli(
+            capsys, "trace", "--circuit", str(circuit), "--state", str(state)
+        )
+        assert code == 0
+        assert out.count("# step") == 7
+        printed = {line.split(" | ")[0] for line in out.splitlines() if " | " in line}
+        assert len(formatted) == len(printed) == len(set(map(format_cscalar, formatted)))
+        assert set(map(format_cscalar, formatted)) == printed
 
 
 class TestTeleport:
