@@ -663,7 +663,7 @@ class TestRenderCache:
 
     def test_each_key_part_gets_its_own_text(self):
         # the same lanes under two units, two scale_sqs and two digit counts
-        lanes = ((1, 0), (0, 1), (0, 0), (0, 0))  # 1 | 0 and sqrt(2) | 1
+        lanes = ((1, 0), (0, 1), (0, 0), (0, 0))  # 1 at |0>, sqrt(2) at |1>
 
         def state(unit, scale_sq=QExt(1)):
             return QState.from_lanes(1, lanes, unit, scale_sq, EXACT)
