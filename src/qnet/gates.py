@@ -7,7 +7,9 @@ unscaled.  The interpreter renormalizes after every M and, on the
 approximate backend, after every gate; on the exact backend X, Z, I, CN
 and H keep the squared norm exactly, so a normalized state stays
 normalized through them and the states seen are the same.  All gates
-preserve scale_sq.
+preserve scale_sq, and each carries the state's ``lane_norm``, the integer
+norm sum that ``normalize`` takes its root of: X, Z, I and CN keep it, H
+doubles it, and M keeps the sum of the half it keeps.
 
 A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
 which also validates n.  X, Z, H and CN apply to each of a state's four
@@ -62,27 +64,29 @@ def _merge(lo, hi, mask: int) -> tuple:
     return tuple(out)
 
 
-def _on_halves(state: QState, mask: int, fn, unit) -> QState:
+def _on_halves(state: QState, mask: int, fn, unit, lane_norm) -> QState:
     """`fn(lo, hi) -> (lo, hi)` applied to the halves of every lane that is
-    not all zero, over the factor `unit`."""
+    not all zero, over the factor `unit`, with the new lanes' `lane_norm`."""
 
     def apply(lane):
         return _merge(*fn(*_split(lane, mask)), mask)
 
     lanes = (apply(lane) if any(lane) else lane for lane in state.lanes)
-    return state.with_lanes(lanes, unit)
+    return state.with_lanes(lanes, unit, lane_norm)
 
 
 def gate_X(state: QState, n: int) -> QState:
     """Negation: flips qubit n in every term."""
     mask = qubit_mask(state.nqubits, n)
-    return _on_halves(state, mask, lambda lo, hi: (hi, lo), state.unit)
+    return _on_halves(state, mask, lambda lo, hi: (hi, lo), state.unit, state.lane_norm)
 
 
 def gate_Z(state: QState, n: int) -> QState:
     """Phase flip: negates the coefficient wherever qubit n is |1>."""
     mask = qubit_mask(state.nqubits, n)
-    return _on_halves(state, mask, lambda lo, hi: (lo, list(map(neg, hi))), state.unit)
+    return _on_halves(
+        state, mask, lambda lo, hi: (lo, list(map(neg, hi))), state.unit, state.lane_norm
+    )
 
 
 def _mix(lo, hi):
@@ -90,9 +94,15 @@ def _mix(lo, hi):
 
 
 def gate_H(state: QState, n: int) -> QState:
-    """Hadamard: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on qubit n."""
+    """Hadamard: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on qubit n.
+
+    The integers become (a+b, a-b), which doubles their norm sum:
+    (a+b)^2 + (a-b)^2 = 2(a^2 + b^2), and the cross terms likewise."""
     mask = qubit_mask(state.nqubits, n)
-    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two)
+    norm = state.lane_norm
+    if norm is not None:
+        norm = 2 * norm[0], 2 * norm[1]
+    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two, norm)
 
 
 def gate_I(state: QState, n: int) -> QState:
@@ -115,14 +125,15 @@ def gate_CN(state: QState, c: int, n: int) -> QState:
         hi_lo, hi_hi = _split(hi, sub_mask)
         return lo, _merge(hi_hi, hi_lo, sub_mask)
 
-    return _on_halves(state, cmask, flip_where_set, state.unit)
+    return _on_halves(state, cmask, flip_where_set, state.unit, state.lane_norm)
 
 
 def measure_split(state: QState, n: int) -> tuple:
     """Qubit n's measurement split: the integer norm sums (x, y), for
     x + y*sqrt(2), of its |0> and |1> halves, and `collapse(outcome)`, the
     state with the other half zeroed, unscaled.  The sums share the factor
-    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums."""
+    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums.  The
+    collapsed state carries its kept half's sum as its ``lane_norm``."""
     mask = qubit_mask(state.nqubits, n)
     halves = [_split(lane, mask) for lane in state.lanes]
     sums = tuple(lane_norm_sq(*(h[side] for h in halves)) for side in (0, 1))
@@ -132,7 +143,8 @@ def measure_split(state: QState, n: int) -> tuple:
 
     def collapse(outcome) -> QState:
         kept = ((zeros, hi) if outcome else (lo, zeros) for lo, hi in halves)
-        return state.with_lanes((_merge(lo, hi, mask) for lo, hi in kept), state.unit)
+        lanes = (_merge(lo, hi, mask) for lo, hi in kept)
+        return state.with_lanes(lanes, state.unit, sums[outcome])
 
     return sums, collapse
 

@@ -12,12 +12,15 @@ A state stores four tuples of Python ints, ``lanes = (re.a, re.b, im.a,
 im.b)``, and one backend scalar ``unit``:
 amps[i] = ((re.a[i] + re.b[i]*sqrt(2)) + i*(im.a[i] + im.b[i]*sqrt(2))) * unit.
 Gates do integer work only; common factors move from the integers into
-``unit`` lazily (``QState.reduced``), in ``normalize`` only.  The CScalar
-view ``amps`` is computed on each read and not stored; every rational in
-it is a ``Fraction``, which reduces itself, so the view does not depend on
-how far the lanes are reduced.  On the exact backend ``unit`` is in
-Q[sqrt(2)]; on the approximate backend it is a rational and the sqrt(2)
-lanes re.b and im.b stay zero.
+``unit`` lazily (``QState.reduced``), in ``normalize`` only.  A state also
+carries ``lane_norm``, the lanes' squared norms summed as (x, y) for
+x + y*sqrt(2) (``lane_norm_sq``), or None when it is not known; the gates
+carry it, so ``normalize`` takes the root of an integer pair it need not
+sum again.  The CScalar view ``amps`` is computed on each read and not
+stored; every rational in it is a ``Fraction``, which reduces itself, so
+the view does not depend on how far the lanes are reduced.  On the exact
+backend ``unit`` is in Q[sqrt(2)]; on the approximate backend it is a
+rational and the sqrt(2) lanes re.b and im.b stay zero.
 
 States additionally carry ``scale_sq``, an exact squared scale factor:
 the physical amplitude at index i is amps[i] / sqrt(scale_sq).  In the
@@ -100,7 +103,7 @@ class QState:
     """Canonical state: ``amps[i]`` is the coefficient of basis index i,
     a view of ``lanes`` and ``unit`` computed on each read."""
 
-    __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend")
+    __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend", "lane_norm")
 
     def __init__(
         self,
@@ -116,26 +119,24 @@ class QState:
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
         lanes, unit = _integer_lanes((to_backend(c, backend) for c in amps), backend)
-        self._init(nqubits, lanes, unit, scale_sq, backend)
-
-    def _init(self, nqubits, lanes, unit, scale_sq, backend) -> None:
-        values = (nqubits, lanes, unit, scale_sq, backend)
-        for name, value in zip(QState.__slots__, values):
-            object.__setattr__(self, name, value)
+        _fill(self, nqubits, lanes, unit, scale_sq, backend, None)
 
     @classmethod
-    def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend) -> "QState":
-        """A state over already-built lanes; no checks, no conversion."""
-        state = object.__new__(cls)
-        state._init(nqubits, tuple(lanes), unit, scale_sq, backend)
+    def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend, lane_norm=None) -> "QState":
+        """A state over already-built lanes; no checks, no conversion.
+        ``lane_norm`` must be ``lane_norm_sq(*lanes)`` or None."""
+        state = _new_object(cls)
+        _fill(state, nqubits, tuple(lanes), unit, scale_sq, backend, lane_norm)
         return state
 
     def __setattr__(self, name, value):
         raise AttributeError("QState is immutable")
 
-    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar) -> "QState":
+    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar, lane_norm=None) -> "QState":
         """The same width, scale and backend over new lanes and unit."""
-        return QState.from_lanes(self.nqubits, lanes, unit, self.scale_sq, self.backend)
+        return QState.from_lanes(
+            self.nqubits, lanes, unit, self.scale_sq, self.backend, lane_norm
+        )
 
     def reduced(self) -> "QState":
         """An equal state whose integer lanes share no factor.
@@ -144,23 +145,30 @@ class QState:
         rational part is even, one sqrt(2) does too, because
         (a + b*sqrt(2)) / sqrt(2) = b + (a/2)*sqrt(2).  After the gcd step
         some part is odd, so one sqrt(2) step is all there can be (and on
-        the approximate backend, whose sqrt(2) lanes are zero, none).
+        the approximate backend, whose sqrt(2) lanes are zero, none).  A
+        carried ``lane_norm`` is divided by g^2, and by 2 at the sqrt(2)
+        step.
         """
-        lanes, unit = self.lanes, self.unit
+        lanes, unit, norm = self.lanes, self.unit, self.lane_norm
         g = math.gcd(*lanes[0], *lanes[1], *lanes[2], *lanes[3])
         if g == 0:
             return self  # the zero vector
         if g > 1:
             lanes = tuple(tuple(x // g for x in lane) for lane in lanes)
             unit = unit * g
+            if norm is not None:
+                g_sq = g * g
+                norm = norm[0] // g_sq, norm[1] // g_sq
         re_a, re_b, im_a, im_b = lanes
         if not any(x & 1 for x in re_a) and not any(x & 1 for x in im_a):
             half_re_a = tuple(x >> 1 for x in re_a)
             lanes = (re_b, half_re_a, im_b, tuple(x >> 1 for x in im_a))
             unit = unit * self.backend.sqrt_two
+            if norm is not None:
+                norm = norm[0] >> 1, norm[1] >> 1
         if lanes is self.lanes:
             return self
-        return self.with_lanes(lanes, unit)
+        return self.with_lanes(lanes, unit, norm)
 
     @property
     def amps(self) -> tuple[CScalar, ...]:
@@ -223,6 +231,22 @@ class QState:
         return f"QState({' + '.join(nonzero) or '0'}, scale_sq={self.scale_sq!s})"
 
 
+_new_object = object.__new__
+_set_nqubits, _set_lanes, _set_unit, _set_scale_sq, _set_backend, _set_lane_norm = (
+    getattr(QState, name).__set__ for name in QState.__slots__
+)
+
+
+def _fill(state, nqubits, lanes, unit, scale_sq, backend, lane_norm) -> None:
+    """Set every slot of a new state, past ``__setattr__``."""
+    _set_nqubits(state, nqubits)
+    _set_lanes(state, lanes)
+    _set_unit(state, unit)
+    _set_scale_sq(state, scale_sq)
+    _set_backend(state, backend)
+    _set_lane_norm(state, lane_norm)
+
+
 def _integer_lanes(amps: Iterable[CScalar], backend: Backend) -> tuple[tuple, Scalar]:
     """Coefficients as four integer lanes over one common denominator."""
     parts = [x for c in amps for z in (c.re, c.im) for x in backend.parts(z)]
@@ -283,38 +307,49 @@ def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT
     return QState(nqubits, amps, backend.one, backend)
 
 
-def norm_sq(state: QState) -> Scalar:
-    """Sum of squared coefficient norms (independent of scale_sq).
+def _lane_norm(state: QState) -> tuple[int, int]:
+    """The state's ``lane_norm``: the carried pair, or summed when unknown."""
+    norm = state.lane_norm
+    return lane_norm_sq(*state.lanes) if norm is None else norm
 
-    The lanes' sum x + y*sqrt(2) times unit^2, with unit = (p + q*sqrt(2)) / s
-    and unit^2 = ((p^2 + 2 q^2) + 2pq*sqrt(2)) / s^2, in integers.
-    """
-    x, y = lane_norm_sq(*state.lanes)
-    p, q, s = int_parts(state.unit)
+
+def norm_sq(state: QState) -> Scalar:
+    """Sum of squared coefficient norms (independent of scale_sq)."""
+    return _times_unit_sq(*_lane_norm(state), state.unit, state.backend)
+
+
+def _times_unit_sq(x: int, y: int, unit: Scalar, backend: Backend) -> Scalar:
+    """(x + y*sqrt(2)) * unit^2 as a backend scalar, computed in integers:
+    with unit = (p + q*sqrt(2)) / s, unit^2 = ((p^2 + 2 q^2) + 2pq*sqrt(2)) / s^2."""
+    p, q, s = int_parts(unit)
     u, v, ss = p * p + 2 * q * q, 2 * p * q, s * s
-    return state.backend.from_parts(Fraction(x * u + 2 * y * v, ss), Fraction(x * v + y * u, ss))
+    return backend.from_parts(Fraction(x * u + 2 * y * v, ss), Fraction(x * v + y * u, ss))
 
 
 def normalize(state: QState) -> QState:
     """Scale a nonzero state to norm 1.
 
-    The lanes are reduced first, then the backend's square root of the
-    squared norm is taken: in-field on the exact backend, ``iter_sqrt`` on
-    the approximate one.  On success ``unit`` is divided by it (a root of
-    exactly one leaves it as it is) and scale_sq resets to 1 (fully
-    normalized).  An exact root outside Q[sqrt(2)] is None: the squared
-    norm becomes the new scale_sq, deferred, and the lanes stay as they are.
+    The lanes are reduced first.  Their squared norm is unit^2 * N for
+    N = x + y*sqrt(2), the integer pair ``lane_norm`` (carried, or summed
+    here when unknown), so the normalized unit is unit / sqrt(unit^2 * N),
+    which ``backend.unit_for_norm`` gives: on the exact backend
+    sign(unit) / sqrt(N), from an integer root of N in Z[sqrt(2)]; on the
+    approximate one, ``iter_sqrt`` of the whole squared norm.  On success
+    scale_sq resets to 1 (fully normalized).  Where N has no root in
+    Z[sqrt(2)], and so unit^2 * N none in Q[sqrt(2)], the squared norm
+    becomes the new scale_sq, deferred, and the lanes and unit stay as they
+    are.
     """
     state = state.reduced()
-    nsq = norm_sq(state)
-    backend = state.backend
-    if backend.sign(nsq) == 0:
+    x, y = norm = _lane_norm(state)
+    backend, unit = state.backend, state.unit
+    if not x or not unit:  # x sums squares: 0 only for all-zero lanes
         raise ValueError("cannot normalize the zero state")
-    root = backend.sqrt(nsq)
-    if root is None:
-        return QState.from_lanes(state.nqubits, state.lanes, state.unit, nsq, backend)
-    unit = state.unit if root == backend.one else state.unit / root
-    return QState.from_lanes(state.nqubits, state.lanes, unit, backend.one, backend)
+    new_unit = backend.unit_for_norm(unit, x, y)
+    if new_unit is None:
+        scale_sq = _times_unit_sq(x, y, unit, backend)
+        return QState.from_lanes(state.nqubits, state.lanes, unit, scale_sq, backend, norm)
+    return QState.from_lanes(state.nqubits, state.lanes, new_unit, backend.one, backend, norm)
 
 
 def tensor_product(a: QState, b: QState) -> QState:
@@ -358,7 +393,7 @@ def zero_qstate(nqubits: int, backend: Backend = EXACT) -> QState:
     _check_width(nqubits)
     zeros = (0,) * (1 << nqubits)
     lanes = ((1,) + zeros[1:], zeros, zeros, zeros)
-    return QState.from_lanes(nqubits, lanes, backend.one, backend.one, backend)
+    return QState.from_lanes(nqubits, lanes, backend.one, backend.one, backend, (1, 0))
 
 
 def get_deterministic_qubit(state: QState, n: int) -> bool:
@@ -380,8 +415,9 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
     that matrix has rank 1, checked exactly by cross-multiplying every
     nonzero row against the first one, x*, on the integer lanes (the common
     factor ``unit`` cancels).  The result is row x*'s lanes, so it inherits
-    that row's phase, with ``unit`` divided by the root of the row's squared
-    norm, which in the exact backend must exist in-field.
+    that row's phase, over ``backend.unit_for_norm`` of the row's integer
+    norm sum N, as in ``normalize``; in the exact backend N must be a square
+    in Z[sqrt(2)].
     """
     mask = qubit_mask(state.nqubits, n)
     coeffs = list(zip(*state.lanes))
@@ -399,15 +435,13 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
                 f"qubit {n} is entangled with the rest of the state"
             )
     backend = state.backend
-    x, y = lane_norm_sq(*zip(a0, a1))
-    root = backend.sqrt(backend.from_parts(x, y) * (state.unit * state.unit))
-    if root is None:
+    norm = lane_norm_sq(*zip(a0, a1))
+    unit = backend.unit_for_norm(state.unit, *norm)
+    if unit is None:
         raise NotRepresentableError(
             "the extracted qubit's scale has no exact representation"
         )
-    return QState.from_lanes(
-        1, zip(a0, a1), state.unit / root, backend.one, backend
-    )
+    return QState.from_lanes(1, zip(a0, a1), unit, backend.one, backend, norm)
 
 
 # --- state file format -------------------------------------------------------

@@ -9,7 +9,8 @@ approximate backend uses plain rationals and ``iter_sqrt``.
 
 A backend, :class:`ExactBackend` or :class:`ApproxBackend`, is its field
 and nothing more: the constants zero, one and sqrt(2), the conversion of a
-scalar to and from its rational parts (a, b), and sign and sqrt.  The
+scalar to and from its rational parts (a, b), sign and sqrt, and the
+unit that normalizes integer lanes of a given squared norm.  The
 state, gate, and interpreter modules use only that, so they stay
 backend-agnostic; ``to_backend`` moves a complex scalar between backends.
 """
@@ -187,44 +188,54 @@ class QExt:
         """In-field square root with nonnegative sign, or None.
 
         With self = (p + q*sqrt(2)) / d, the root is sqrt(P + Q*sqrt(2)) / d
-        for P = p*d and Q = q*d.  Z[sqrt(2)] is the ring of integers of
-        Q[sqrt(2)], so a root of P + Q*sqrt(2) that lies in the field is
-        some c + e*sqrt(2) with integers c, e, and
-        (c + e*sqrt(2))^2 = (c^2 + 2 e^2) + 2ce*sqrt(2).  With Q = 0 either
-        e = 0 (P must be a square) or c = 0 (P/2 must be one).  With Q != 0,
-        c^2 solves a quadratic whose discriminant P^2 - 2 Q^2 must be a
-        square D^2; both roots (P +- D)/2 are tried, and then e = Q / (2c).  None is an
-        ordinary outcome, not a failure: callers fall back to deferred
-        normalization.
+        for P = p*d and Q = q*d, and ``zsqrt`` finds that of P + Q*sqrt(2).
+        None is an ordinary outcome, not a failure: callers fall back to
+        deferred normalization.
         """
         p, q, d = int_parts(self)
         if sign(p, q) < 0:
             raise ValueError("square root of a negative value")
-        big_p, big_q = p * d, q * d
-        if not big_q:
-            c = math.isqrt(big_p)
-            if c * c == big_p:
-                return _from_ints(c, 0, d)
-            if not big_p & 1:
-                e = math.isqrt(big_p >> 1)
-                if 2 * e * e == big_p:
-                    return _from_ints(0, e, d)
-            return None
-        disc = big_p * big_p - 2 * big_q * big_q
-        if disc < 0:
-            return None
-        big_d = math.isqrt(disc)
-        if big_d * big_d != disc:
-            return None
-        for c_sq in ((big_p + big_d) >> 1, (big_p - big_d) >> 1):
-            if c_sq > 0:
-                c = math.isqrt(c_sq)
-                if c * c == c_sq:
-                    e = big_q // (2 * c)  # exact: the root is in Z[sqrt(2)]
-                    if sign(c, e) < 0:
-                        c, e = -c, -e
-                    return _from_ints(c, e, d)
+        root = zsqrt(p * d, q * d)
+        return None if root is None else _from_ints(*root, d)
+
+
+def zsqrt(big_p: int, big_q: int) -> tuple[int, int] | None:
+    """Integers (c, e) with c + e*sqrt(2) >= 0 and
+    (c + e*sqrt(2))^2 = P + Q*sqrt(2), for P + Q*sqrt(2) >= 0; None when
+    the root is not in Q[sqrt(2)].
+
+    Z[sqrt(2)] is the ring of integers of Q[sqrt(2)], so a root of
+    P + Q*sqrt(2) that lies in the field is some c + e*sqrt(2) with
+    integers c, e, and (c + e*sqrt(2))^2 = (c^2 + 2 e^2) + 2ce*sqrt(2).
+    With Q = 0 either e = 0 (P must be a square) or c = 0 (P/2 must be
+    one).  With Q != 0, c^2 solves a quadratic whose discriminant
+    P^2 - 2 Q^2 must be a square D^2; both roots (P +- D)/2 are tried, and
+    then e = Q / (2c).
+    """
+    if not big_q:
+        c = math.isqrt(big_p)
+        if c * c == big_p:
+            return c, 0
+        if not big_p & 1:
+            e = math.isqrt(big_p >> 1)
+            if 2 * e * e == big_p:
+                return 0, e
         return None
+    disc = big_p * big_p - 2 * big_q * big_q
+    if disc < 0:
+        return None
+    big_d = math.isqrt(disc)
+    if big_d * big_d != disc:
+        return None
+    for c_sq in ((big_p + big_d) >> 1, (big_p - big_d) >> 1):
+        if c_sq > 0:
+            c = math.isqrt(c_sq)
+            if c * c == c_sq:
+                e = big_q // (2 * c)  # exact: the root is in Z[sqrt(2)]
+                if sign(c, e) < 0:
+                    c, e = -c, -e
+                return c, e
+    return None
 
 
 def _from_ints(p: int, q: int, d: int) -> QExt:
@@ -486,6 +497,10 @@ UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
 # unitary gate, rational stand-ins for sqrt(2) and for square roots do not.
 # ``parts`` and ``from_parts`` convert a scalar to and from the rationals
 # (a, b) of a + b*sqrt(2); every conversion goes through them.
+# ``unit_for_norm(unit, x, y)`` is the unit that makes integer lanes whose
+# squared norms sum to x + y*sqrt(2) > 0, times ``unit`` != 0, a state of
+# norm 1: unit / sqrt(unit^2 * (x + y*sqrt(2))), or None where the exact
+# root is not in the field and normalization must defer.
 
 
 @dataclass(frozen=True)
@@ -509,6 +524,22 @@ class ExactBackend:
 
     def sqrt(self, x: QExt) -> QExt | None:
         return x.sqrt()
+
+    def unit_for_norm(self, unit: QExt, x: int, y: int) -> QExt | None:
+        """sign(unit) / sqrt(x + y*sqrt(2)), or None when that root is not
+        in Q[sqrt(2)].
+
+        The root is ``zsqrt``'s c + e*sqrt(2), and its inverse is
+        (c - e*sqrt(2)) / (c^2 - 2 e^2).
+        """
+        root = zsqrt(x, y)
+        if root is None:
+            return None
+        c, e = root
+        n = c * c - 2 * e * e
+        if (n < 0) != (unit.sign() < 0):
+            c, e = -c, -e
+        return _from_ints(c, -e, abs(n))
 
 
 @dataclass(frozen=True)
@@ -544,6 +575,16 @@ class ApproxBackend:
 
     def sqrt(self, x: Fraction) -> Fraction:
         return iter_sqrt(x, self.eps)
+
+    def unit_for_norm(self, unit: Fraction, x: int, y: int) -> Fraction:
+        """unit / iter_sqrt(unit^2 * x); y is 0, as the sqrt(2) lanes are.
+
+        ``iter_sqrt`` is not multiplicative, so the root is taken of the
+        whole squared norm, as ``sqrt`` would take it.
+        """
+        p, s = unit.numerator, unit.denominator
+        root = iter_sqrt(Fraction(x * p * p, s * s), self.eps)
+        return unit if root == 1 else unit / root
 
     @property
     def check_tol(self) -> Fraction:

@@ -15,11 +15,9 @@ from fractions import Fraction
 from .interpreter import Circuit, Gate, RandomStream, branches, run_circuit
 from .qstate import (
     QState,
-    Term,
     get_deterministic_qubit,
     make_qubit,
     narrow_to_qubit,
-    sort_and_merge,
     tensor_product,
     zero_qstate,
 )
@@ -46,11 +44,12 @@ ALICE_CIRCUIT = Circuit(
     nqubits=3,
 )
 
-_BOB_GATES = {
-    (False, False): (),
-    (False, True): (Gate("X", (2,)),),
-    (True, False): (Gate("Z", (2,)),),
-    (True, True): (Gate("X", (2,)), Gate("Z", (2,))),
+#: Bob's correction circuit for each pair of measured bits (m0, m1).
+_BOB_CIRCUITS = {
+    (False, False): Circuit((), 3),
+    (False, True): Circuit((Gate("X", (2,)),), 3),
+    (True, False): Circuit((Gate("Z", (2,)),), 3),
+    (True, True): Circuit((Gate("X", (2,)), Gate("Z", (2,))), 3),
 }
 
 #: Draw pairs covering the four measurement branches: within each half
@@ -110,10 +109,10 @@ def teleport_bob(state: QState, m0: bool, m1: bool) -> QState:
     """Apply Bob's classically-controlled corrections to qubit 2."""
     if state.nqubits != 3:
         raise ValueError("teleportation acts on a 3-qubit state")
-    gates = _BOB_GATES[(bool(m0), bool(m1))]
-    if not gates:
+    circuit = _BOB_CIRCUITS[(bool(m0), bool(m1))]
+    if not circuit.gates:
         return state
-    return run_circuit(Circuit(gates, 3), state, RandomStream(()))
+    return run_circuit(circuit, state, RandomStream(()))
 
 
 def teleport_protocol(
@@ -163,10 +162,9 @@ class TeleportReport:
         return [case.summary_line() for case in self.cases]
 
 
-def _expected_alice_state(
-    alpha: CScalar, beta: CScalar, m0: bool, m1: bool, backend: Backend
-) -> QState | None:
-    """Closed-form expectation for Alice's post-state, where one exists.
+def _expected_alice_state(qubit: QState, m0: bool, m1: bool) -> QState | None:
+    """Closed-form expectation for Alice's post-state, where one exists,
+    over the payload qubit alpha|0> + beta|1>'s lanes and unit.
 
     Branch (0,0) is alpha|000> + beta|001>; branch (0,1) is
     beta|010> + alpha|011>.  The m0 = 1 branches are checked at the
@@ -174,9 +172,11 @@ def _expected_alice_state(
     """
     if m0:
         return None
-    low, high = (beta, alpha) if m1 else (alpha, beta)
-    terms = (Term(low, (False, m1, False)), Term(high, (False, m1, True)))
-    return sort_and_merge(terms, 3, backend)
+    if m1:
+        lanes = ((0, 0, beta, alpha, 0, 0, 0, 0) for alpha, beta in qubit.lanes)
+    else:
+        lanes = ((alpha, beta, 0, 0, 0, 0, 0, 0) for alpha, beta in qubit.lanes)
+    return QState.from_lanes(3, lanes, qubit.unit, qubit.scale_sq, qubit.backend)
 
 
 def max_component_gap(a: QState, b: QState) -> Fraction:
@@ -222,7 +222,7 @@ def verify_teleportation(
     for alpha, beta in inputs:
         alpha, beta, expected_qubit, initial = _payload(alpha, beta, backend)
         reached = {o: (p, s) for o, p, s in branches(ALICE_CIRCUIT, initial)}
-        for m0, m1 in _BOB_GATES:
+        for m0, m1 in _BOB_CIRCUITS:
             name = f"{int(m0)}{int(m1)}"
             if (m0, m1) not in reached:
                 detail = f"branch {name} not reached: probability 0"
@@ -235,7 +235,7 @@ def verify_teleportation(
                 problems.append(f"measured ({int(bits[0])},{int(bits[1])}), branch is {name}")
             if prob != quarter:
                 problems.append(f"branch {name} has probability {prob}, not 1/4")
-            expected_state = _expected_alice_state(alpha, beta, m0, m1, backend)
+            expected_state = _expected_alice_state(expected_qubit, m0, m1)
             if expected_state is not None:
                 if approx:
                     gap = max_component_gap(state, expected_state)

@@ -19,7 +19,11 @@ Each fast path is checked against the slower rule it replaces:
 - the CScalar view of unreduced lanes, built without reducing them,
   against the view of the reduced state, value and text;
 - state equality and the approximate backend's ``max_component_gap``,
-  decided on the lanes, against the same comparisons of the two views.
+  decided on the lanes, against the same comparisons of the two views;
+- `normalize` and `narrow_to_qubit`, which take an integer root of the
+  lanes' norm sum in Z[sqrt(2)], against the root of the whole squared
+  norm by ``backend.sqrt``, on negative units and units with a sqrt(2)
+  part; and the ``lane_norm`` that the gates carry against the lane sum.
 
 - `branches`, which walks every M outcome with no draws, against
   `run_circuit` with draw 0 for outcome 0 and draw 1 for outcome 1, and
@@ -62,7 +66,7 @@ from qnet import (
     to_backend,
     zero_qstate,
 )
-from qnet.qstate import _cscalars, physical_amplitudes
+from qnet.qstate import _cscalars, _lane_product, lane_norm_sq, physical_amplitudes
 from qnet.teleport import max_component_gap
 from qnet.scalar import approx_of_parts, format_cscalar
 
@@ -680,3 +684,212 @@ def test_lane_gap_is_defined_on_the_approximate_backend_only():
     state = zero_qstate(2)
     with pytest.raises(TypeError):
         max_component_gap(state, state)
+
+
+# --- the carried lane norm, and normalization from it -------------------------------
+
+
+def assert_norm_carried(state):
+    assert state.lane_norm is not None
+    assert state.lane_norm == lane_norm_sq(*state.lanes)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    nqubits=st.integers(1, 6),
+    ngates=st.integers(0, 24),
+    start=st.sampled_from(("zero", "rand_state")),
+)
+def test_carried_lane_norm_equals_the_lane_sum(name, seed, nqubits, ngates, start):
+    # after every gate, every reduced() and every normalize of a random run
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    if start == "zero":
+        state = zero_qstate(nqubits, backend)
+    else:
+        amps = (to_backend(c, backend) for c in rand_state(rng, nqubits).amps)
+        state = QState(nqubits, amps, backend.one, backend)
+    state = normalize(state)
+    assert_norm_carried(state)
+    ops = rand_circuit_ops(rng, nqubits, ngates)
+    for op, draw in zip(ops, rand_draws(rng, len(ops))):
+        if op[0] == "M":
+            state = gate_M(state, op[1], draw)
+        else:
+            state = LIBRARY_GATES[op[0]](state, *op[1:])
+        assert_norm_carried(state)
+        assert_norm_carried(state.reduced())
+        if op[0] == "M" or backend.normalizes_after_unitaries:
+            state = normalize(state)
+            assert_norm_carried(state)
+
+
+def qext_path_normalize(state):
+    """normalize by the squared norm as one backend scalar and its root by
+    ``backend.sqrt``, as qnet took it before the integer root: (lanes,
+    unit, scale_sq), or the ValueError it raises."""
+    state = state.reduced()
+    backend = state.backend
+    nsq = backend.from_parts(*lane_norm_sq(*state.lanes)) * (state.unit * state.unit)
+    if backend.sign(nsq) == 0:
+        raise ValueError("cannot normalize the zero state")
+    root = backend.sqrt(nsq)
+    if root is None:
+        return state.lanes, state.unit, nsq
+    unit = state.unit if root == backend.one else state.unit / root
+    return state.lanes, unit, backend.one
+
+
+def qext_path_narrow(state, n):
+    """narrow_to_qubit with that root: (lanes, unit), or the error type."""
+    mask = 1 << (state.nqubits - 1 - n)
+    coeffs = list(zip(*state.lanes))
+    rows = [
+        (coeffs[i], coeffs[i | mask])
+        for i in range(len(coeffs))
+        if not i & mask and (any(coeffs[i]) or any(coeffs[i | mask]))
+    ]
+    if not rows:
+        return ValueError
+    a0, a1 = rows[0]
+    if any(_lane_product(x0, a1) != _lane_product(x1, a0) for x0, x1 in rows[1:]):
+        return EntangledError
+    backend = state.backend
+    x, y = lane_norm_sq(*zip(a0, a1))
+    root = backend.sqrt(backend.from_parts(x, y) * (state.unit * state.unit))
+    if root is None:
+        return NotRepresentableError
+    return tuple(zip(a0, a1)), state.unit / root
+
+
+#: Integer weights whose squares sum to a square or to twice one, so lanes
+#: of w * z for one z in Z[sqrt(2)] have a norm sum with a root in Z[sqrt(2)].
+_SQUARE_WEIGHTS = ((1,), (1, 1), (3, 4), (1, 2, 2), (1, 1, 1, 1), (2, 4, 4, 5), (1, 1, 3, 3, 4))
+
+
+def norm_input_lanes(rng, nqubits, backend, kind):
+    """Lanes with a square norm sum ("square": weights times one z and a
+    phase 1, -1, i or -i), random lanes ("random", mostly not square) or
+    zero lanes, multiplied half of the time by a common factor or sqrt(2)
+    that ``reduced()`` takes out again."""
+    size = 1 << nqubits
+    if kind == "zero":
+        return ((0,) * size,) * 4
+    if kind == "random":
+        lanes = random_lanes(rng, nqubits, backend)
+    else:
+        weights = rng.choice([w for w in _SQUARE_WEIGHTS if len(w) <= size])
+        a = rng.choice((1, -1)) * rng.randint(1, 10**rng.randint(1, 12))
+        b = rng.randint(-99, 99) if backend is EXACT else 0
+        lanes = [[0] * size for _ in range(4)]
+        for w, i in zip(weights, rng.sample(range(size), len(weights))):
+            sign, part = rng.choice((1, -1)), rng.choice((0, 2))
+            lanes[part][i], lanes[part + 1][i] = sign * w * a, sign * w * b
+    if rng.random() < 0.5:
+        wa, wb = rng.choice(((rng.randint(2, 10**6), 0), (0, 1), (2, 2)))
+        if backend is not EXACT:
+            wa, wb = wa or 2, 0
+        lanes = times(lanes, wa, wb)
+    return tuple(map(tuple, lanes))
+
+
+def norm_input(rng, nqubits, backend, kind):
+    """A state over `norm_input_lanes` and a random unit, negative or with a
+    sqrt(2) part; its scale_sq is 1 or deferred, its lane_norm carried or not."""
+    lanes = norm_input_lanes(rng, nqubits, backend, kind)
+    scale_sq = backend.one
+    if rng.random() < 0.3:
+        scale_sq = backend.from_parts(Fraction(rng.randint(1, 99), rng.randint(1, 99)), 0)
+    norm = lane_norm_sq(*lanes) if rng.random() < 0.5 else None
+    return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
+
+
+NORM_KINDS = ("square", "random", "zero")
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 4), kind=st.sampled_from(NORM_KINDS))
+def test_normalize_matches_the_qext_path(name, seed, nqubits, kind):
+    backend = BACKENDS[name]
+    state = norm_input(random.Random(seed), nqubits, backend, kind)
+    try:
+        expected = qext_path_normalize(state)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            normalize(state)
+        assert not any(map(any, state.lanes))
+        return
+    out = normalize(state)
+    assert (out.lanes, out.unit, out.scale_sq) == expected
+    assert_norm_carried(out)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    left=st.integers(0, 2),
+    right=st.integers(0, 2),
+    kinds=st.tuples(*[st.sampled_from(NORM_KINDS)] * 3),
+)
+def test_narrow_matches_the_qext_path(name, seed, left, right, kinds):
+    # a product of three lane states, over one new unit: separable in
+    # qubit `left` unless a factor is zero
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    factors = [
+        norm_input(rng, width, backend, kind)
+        for width, kind in zip((left, 1, right), kinds)
+        if width
+    ]
+    product = factors[0]
+    for factor in factors[1:]:
+        product = tensor_product(product, factor)
+    state = QState.from_lanes(
+        product.nqubits, product.lanes, random_unit(rng, backend), product.scale_sq, backend
+    )
+    expected = qext_path_narrow(state, left)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            narrow_to_qubit(state, left)
+        return
+    out = narrow_to_qubit(state, left)
+    assert (out.lanes, out.unit, out.scale_sq) == (*expected, backend.one)
+    assert_norm_carried(out)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_norm_inputs_reach_every_outcome(name):
+    # the inputs above reach an in-field root and a deferred one, and every
+    # narrowing outcome, from negative units and units with a sqrt(2) part
+    backend = BACKENDS[name]
+    rng = random.Random(11)
+    scales, narrowed, units = set(), set(), set()
+    for _ in range(200):
+        state = norm_input(rng, rng.randint(1, 3), backend, rng.choice(NORM_KINDS[:2]))
+        if not any(map(any, state.lanes)):
+            continue
+        scales.add(normalize(state).scale_sq == backend.one)
+        parts = backend.parts(state.unit)
+        units.add((backend.sign(state.unit), bool(parts[1])))
+        product = tensor_product(state, norm_input(rng, 1, backend, rng.choice(NORM_KINDS)))
+        outcome = qext_path_narrow(product, product.nqubits - 1)
+        narrowed.add(outcome if isinstance(outcome, type) else "qubit")
+    assert scales == ({True, False} if name == "exact" else {True})
+    expected = {"qubit", ValueError}
+    if name == "exact":
+        expected |= {NotRepresentableError}
+        assert {(-1, True), (1, True)} <= units
+    else:
+        assert units == {(-1, False), (1, False)}
+    assert narrowed == expected
+
+
+def test_normalize_keeps_the_sign_of_a_negative_unit():
+    state = QState.from_lanes(1, ((1, 1), (0, 0), (0, 0), (0, 0)), QExt(Fraction(-1, 3)), QExt(1), EXACT)
+    out = normalize(state)
+    assert [format_cscalar(c) for c in out.amps] == ["(-1/2*s2, 0)"] * 2
+    assert format_cscalar(narrow_to_qubit(state, 0).coeff(1)) == "(-1/2*s2, 0)"

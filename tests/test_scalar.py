@@ -277,7 +277,7 @@ def public_members(cls) -> set[str]:
 
 FIELD_MEMBERS = {
     "name", "normalizes_after_unitaries", "zero", "one", "sqrt_two",
-    "parts", "from_parts", "sign", "sqrt",
+    "parts", "from_parts", "sign", "sqrt", "unit_for_norm",
 }
 
 
