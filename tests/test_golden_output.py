@@ -42,6 +42,17 @@ RATIONAL_4Q = (
     "(1/6, 0) | 0110\n"
     "(-7/17, 2/3) | 0011\n"
 )
+#: sqrt(2) parts in every form the grammar has, and |01> given twice with
+#: |b| > 1, so that on the approximate backend each term's own rounding
+#: (its sqrt(2) tolerance is eps / |b|) differs from rounding their sum
+SQRT2_2Q = (
+    "# sqrt(2) parts, |01> twice\n"
+    "(5/2*s2, 1/3) | 01\n"
+    "(1/3+s2, 0) | 10\n"
+    "\n"
+    "(1/5-2*s2, -3/2*s2) | 01\n"
+    "(0, 2-s2) | 11\n"
+)
 
 #: placeholder -> (file name, contents) of the input files the cases name
 FILES = {
@@ -50,6 +61,8 @@ FILES = {
     "deferred3": ("d3.state", DEFERRED_3Q),
     "circuit4": ("c4.qc", CIRCUIT_4Q),
     "rational4": ("r4.state", RATIONAL_4Q),
+    "circuit2": ("c2.qc", "qubits 2\nH 0\nCN 0 1\nH 1\nM 0\n"),
+    "sqrt2state": ("s2.state", SQRT2_2Q),
 }
 
 #: case name -> argv, with ``{placeholder}`` for an input file
@@ -74,6 +87,11 @@ CASES = {
     "run-decimal-deferred": [
         "run", "--circuit", "{h1}", "--state", "qubit:(1,0),(2,0)",
         "--emit", "decimal", "--digits", "60",
+    ],
+    "run-2q-sqrt2-approx-decimal": [
+        "run", "--circuit", "{circuit2}", "--state", "{sqrt2state}",
+        "--randoms", "1/3", "--backend", "approx", "--eps", "1/1000",
+        "--emit", "decimal", "--digits", "12",
     ],
     "trace-3q-exact": [
         "trace", "--circuit", "{circuit3}", "--state", "zero:3",
