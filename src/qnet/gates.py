@@ -15,8 +15,8 @@ A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
 which also validates n.  X, Z, H and CN apply to each of a state's four
 integer ``lanes`` that is not all zero, the same code on both backends:
 H adds and subtracts each pair and divides the shared ``unit`` once by
-the backend's sqrt(2) (exact, or its rational stand-in), and M compares
-integer norm sums by an exact sign test.
+the backend's sqrt(2) (exact, or its rational stand-in), and M splits the
+same lanes and compares integer norm sums by an exact sign test.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg, sub
 
-from .qstate import QState, lane_norm_sq, qubit_mask
+from .qstate import QState, _lane_norm, lane_norm_sq, qubit_mask
 from .scalar import sign
 
 
@@ -132,18 +132,22 @@ def measure_split(state: QState, n: int) -> tuple:
     """Qubit n's measurement split: the integer norm sums (x, y), for
     x + y*sqrt(2), of its |0> and |1> halves, and `collapse(outcome)`, the
     state with the other half zeroed, unscaled.  The sums share the factor
-    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums.  The
-    collapsed state carries its kept half's sum as its ``lane_norm``."""
+    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums.  Only
+    lanes that are not all zero are split, and O is the state's lane norm
+    minus Z.  The collapsed state carries its kept half's sum as its
+    ``lane_norm``."""
     mask = qubit_mask(state.nqubits, n)
-    halves = [_split(lane, mask) for lane in state.lanes]
-    sums = tuple(lane_norm_sq(*(h[side] for h in halves)) for side in (0, 1))
-    if not sums[0][0] + sums[1][0]:
+    halves = [_split(lane, mask) if any(lane) else None for lane in state.lanes]
+    zx, zy = lane_norm_sq(*(h[0] if h else () for h in halves))  # () sums to 0
+    x, y = _lane_norm(state)
+    if not x:  # x sums squares: 0 only for all-zero lanes
         raise ValueError("cannot measure the zero state")
+    sums = (zx, zy), (x - zx, y - zy)
     zeros = [0] * (1 << (state.nqubits - 1))
 
     def collapse(outcome) -> QState:
-        kept = ((zeros, hi) if outcome else (lo, zeros) for lo, hi in halves)
-        lanes = (_merge(lo, hi, mask) for lo, hi in kept)
+        kept = [None if h is None else (zeros, h[1]) if outcome else (h[0], zeros) for h in halves]
+        lanes = (lane if k is None else _merge(*k, mask) for lane, k in zip(state.lanes, kept))
         return state.with_lanes(lanes, state.unit, sums[outcome])
 
     return sums, collapse

@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -49,12 +49,13 @@ from .scalar import (
     EXACT,
     Backend,
     CScalar,
+    QExt,
     Scalar,
     approx_of_parts,
     format_cscalar,
     int_parts,
     iter_sqrt,
-    parse_cscalar,
+    parse_cplx_parts,
     to_backend,
 )
 
@@ -118,8 +119,9 @@ class QState:
             raise ValueError("canonical state needs one coefficient per basis vector")
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
-        lanes, unit = _integer_lanes((to_backend(c, backend) for c in amps), backend)
-        _fill(self, nqubits, lanes, unit, scale_sq, backend, None)
+        amps = (to_backend(c, backend) for c in amps)
+        rows = {i: (*backend.parts(c.re), *backend.parts(c.im)) for i, c in enumerate(amps)}
+        _fill(self, nqubits, *_lanes_of_rows(rows, 1 << nqubits, backend), scale_sq, backend, None)
 
     @classmethod
     def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend, lane_norm=None) -> "QState":
@@ -247,13 +249,16 @@ def _fill(state, nqubits, lanes, unit, scale_sq, backend, lane_norm) -> None:
     _set_lane_norm(state, lane_norm)
 
 
-def _integer_lanes(amps: Iterable[CScalar], backend: Backend) -> tuple[tuple, Scalar]:
-    """Coefficients as four integer lanes over one common denominator."""
-    parts = [x for c in amps for z in (c.re, c.im) for x in backend.parts(z)]
-    den = math.lcm(*(x.denominator for x in parts))
-    ints = [x.numerator * (den // x.denominator) for x in parts]
-    lanes = tuple(tuple(ints[i::4]) for i in range(4))
-    return lanes, backend.from_parts(Fraction(1, den), 0)
+def _lanes_of_rows(rows: dict, size: int, backend: Backend) -> tuple[tuple, Scalar]:
+    """Four integer lanes of ``size`` entries over one common denominator,
+    and their unit 1/den: entry i has the rationals rows[i] = (re.a, re.b,
+    im.a, im.b), and an index not in ``rows`` is zero."""
+    den = math.lcm(*(x.denominator for row in rows.values() for x in row))
+    lanes = [[0] * size for _ in range(4)]
+    for i, row in rows.items():
+        for lane, x in zip(lanes, row):
+            lane[i] = x.numerator * (den // x.denominator)
+    return tuple(map(tuple, lanes)), backend.from_parts(Fraction(1, den), 0)
 
 
 def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
@@ -452,7 +457,12 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
 
 
 def parse_state(text: str, backend: Backend = EXACT) -> QState:
-    terms: list[Term] = []
+    """The listed state, built from each literal's rationals, summed per
+    basis vector, over one lcm; on the approximate backend each literal's
+    a + b*sqrt(2) is rounded by ``backend.from_parts`` first, as
+    ``to_backend`` would round it."""
+    rounds = type(backend.one) is not QExt
+    rows: dict[int, tuple] = {}
     nqubits: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -462,9 +472,11 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
         if len(parts) != 2:
             raise ParseError("expected 'cplx | bitstring'", line=lineno)
         try:
-            coeff = to_backend(parse_cscalar(parts[0]), backend)
+            row = parse_cplx_parts(parts[0])
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        if rounds and (row[1] or row[3]):
+            row = backend.from_parts(*row[:2]), 0, backend.from_parts(*row[2:]), 0
         bits_text = parts[1].strip()
         if not bits_text or set(bits_text) - {"0", "1"}:
             raise ParseError(f"bad bitstring {bits_text!r}", line=lineno)
@@ -478,10 +490,12 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
             raise ParseError(
                 f"bitstring length {len(bits_text)} != {nqubits}", line=lineno
             )
-        terms.append(Term(coeff, tuple(c == "1" for c in bits_text)))
+        index = int(bits_text, 2)  # qubit 0 is the leftmost bit
+        rows[index] = tuple(map(add, rows[index], row)) if index in rows else row
     if nqubits is None:
         raise ParseError("state file contains no terms")
-    return sort_and_merge(terms, nqubits, backend)
+    lanes, unit = _lanes_of_rows(rows, 1 << nqubits, backend)
+    return QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
 
 
 def format_state(state: QState, sparse: bool = False) -> list[str]:

@@ -422,37 +422,42 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_qext(text: str) -> QExt:
     """Parse a qext literal such as '1/2', '3/2+1*s2', or '-1/2*s2'."""
+    return QExt(*_qext_parts(text))
+
+
+def _qext_parts(text: str) -> tuple[Fraction, Fraction]:
+    """The rationals (a, b) of a qext literal a + b*sqrt(2)."""
     text = text.strip()
     if "s2" not in text:
-        return QExt(parse_rational(text))
+        return parse_rational(text), _ZERO
     m = _QEXT_S2_RE.match(text)
-    if m is None:
+    # a bare 's2' is not in the grammar; spell it '1*s2'
+    if m is None or m["b"] is None and m["sep"] is None:
         raise ParseError(f"bad scalar literal {text!r}")
     try:
-        a = _rational(m["a"]) if m["a"] is not None else Fraction(0)
-        if m["b"] is not None:
-            b = _rational(m["b"])
-        elif m["sep"] is not None:
-            b = Fraction(1)
-        else:
-            # a bare 's2' is not in the grammar; spell it '1*s2'
-            raise ParseError(f"bad scalar literal {text!r}")
+        a = _ZERO if m["a"] is None else _rational(m["a"])
+        b = Fraction(1) if m["b"] is None else _rational(m["b"])
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
-    if m["sep"] == "-":
-        b = -b
-    return QExt(a, b)
+    return a, -b if m["sep"] == "-" else b
 
 
-def parse_cscalar(text: str) -> CScalar:
-    """Parse a cplx literal '(qext, qext)' into an exact CScalar."""
+def parse_cplx_parts(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The rationals (re.a, re.b, im.a, im.b) of a cplx literal
+    '(qext, qext)', in the order of a state's lanes."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"bad complex literal {text!r}")
     parts = text[1:-1].split(",")
     if len(parts) != 2:
         raise ParseError(f"bad complex literal {text!r}")
-    return CScalar(parse_qext(parts[0]), parse_qext(parts[1]))
+    return (*_qext_parts(parts[0]), *_qext_parts(parts[1]))
+
+
+def parse_cscalar(text: str) -> CScalar:
+    """Parse a cplx literal '(qext, qext)' into an exact CScalar."""
+    a, b, c, d = parse_cplx_parts(text)
+    return CScalar(QExt(a, b), QExt(c, d))
 
 
 def format_qext(x: QExt) -> str:

@@ -25,6 +25,12 @@ Each fast path is checked against the slower rule it replaces:
   norm by ``backend.sqrt``, on negative units and units with a sqrt(2)
   part; and the ``lane_norm`` that the gates carry against the lane sum.
 
+- `measure_split`, which splits only the lanes that are not all zero and
+  sums only the |0> half, against the split of all four lanes with both
+  halves summed; and `parse_state`, which sums each literal's rationals
+  straight into lanes, against `parse_cscalar`, `to_backend` and
+  `sort_and_merge`.
+
 - `branches`, which walks every M outcome with no draws, against
   `run_circuit` with draw 0 for outcome 0 and draw 1 for outcome 1, and
   its probabilities against the shares of `norm_sq` that M keeps.
@@ -42,6 +48,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnet import (
     EXACT,
+    ParseError,
     ApproxBackend,
     CScalar,
     EntangledError,
@@ -61,12 +68,23 @@ from qnet import (
     narrow_to_qubit,
     norm_sq,
     normalize,
+    parse_cscalar,
+    parse_state,
     run_circuit_traced,
+    sort_and_merge,
     tensor_product,
     to_backend,
     zero_qstate,
 )
-from qnet.qstate import _cscalars, _lane_product, lane_norm_sq, physical_amplitudes
+from qnet.gates import _merge, _split, measure_split
+from qnet.qstate import (
+    MAX_QUBITS,
+    Term,
+    _cscalars,
+    _lane_product,
+    lane_norm_sq,
+    physical_amplitudes,
+)
 from qnet.teleport import max_component_gap
 from qnet.scalar import approx_of_parts, format_cscalar
 
@@ -893,3 +911,217 @@ def test_normalize_keeps_the_sign_of_a_negative_unit():
     out = normalize(state)
     assert [format_cscalar(c) for c in out.amps] == ["(-1/2*s2, 0)"] * 2
     assert format_cscalar(narrow_to_qubit(state, 0).coeff(1)) == "(-1/2*s2, 0)"
+
+
+# --- measurement on the nonzero lanes ---------------------------------------------
+
+
+def full_split(state, n):
+    """measure_split as qnet took it before: all four lanes split, both
+    halves summed, and all four merged again; `collapse` gives (lanes,
+    lane_norm)."""
+    mask = 1 << (state.nqubits - 1 - n)
+    halves = [_split(lane, mask) for lane in state.lanes]
+    sums = tuple(lane_norm_sq(*(h[side] for h in halves)) for side in (0, 1))
+    if not sums[0][0] + sums[1][0]:
+        raise ValueError("cannot measure the zero state")
+    zeros = [0] * (1 << (state.nqubits - 1))
+
+    def collapse(outcome):
+        kept = ((zeros, hi) if outcome else (lo, zeros) for lo, hi in halves)
+        return tuple(_merge(lo, hi, mask) for lo, hi in kept), sums[outcome]
+
+    return sums, collapse
+
+
+def split_input(rng, nqubits, backend, nonzero):
+    """A state whose lanes `nonzero` hold integers, at least one of them
+    not zero, and whose other lanes are all zero (all four for the zero
+    state); a random unit, scale_sq 1 or deferred, lane_norm carried or None."""
+    size = 1 << nqubits
+    lanes = [[0] * size for _ in range(4)]
+    for k in nonzero:
+        for i in range(size):
+            lanes[k][i] = rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**20), 10**20)))
+        lanes[k][rng.randrange(size)] = rng.choice((1, -1)) * rng.randint(1, 10**6)
+    lanes = tuple(map(tuple, lanes))
+    scale_sq = backend.one
+    if rng.random() < 0.3:
+        scale_sq = backend.from_parts(Fraction(rng.randint(1, 99), rng.randint(1, 99)), 0)
+    norm = lane_norm_sq(*lanes) if rng.random() < 0.5 else None
+    return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
+
+
+def nonzero_lane_sets(backend):
+    # the approximate backend's sqrt(2) lanes (1 and 3) stay zero
+    lanes = (0, 1, 2, 3) if backend is EXACT else (0, 2)
+    return [
+        tuple(k for k in lanes if mask >> k & 1)
+        for mask in range(1, 16)
+        if all(k in lanes for k in range(4) if mask >> k & 1)
+    ]
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 6), data=st.data())
+def test_measure_split_matches_the_full_split(name, seed, nqubits, data):
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    nonzero = data.draw(st.sampled_from([()] + nonzero_lane_sets(backend)))
+    state = split_input(rng, nqubits, backend, nonzero)
+    n = data.draw(st.integers(0, nqubits - 1))
+    if not nonzero:
+        with pytest.raises(ValueError, match="^cannot measure the zero state$"):
+            full_split(state, n)
+        with pytest.raises(ValueError, match="^cannot measure the zero state$"):
+            measure_split(state, n)
+        return
+    expected_sums, expected = full_split(state, n)
+    sums, collapse = measure_split(state, n)
+    assert sums == expected_sums
+    for outcome in (0, 1):
+        out = collapse(outcome)
+        assert (out.lanes, out.lane_norm) == expected(outcome)
+        assert (out.nqubits, out.unit, out.scale_sq, out.backend) == (
+            state.nqubits, state.unit, state.scale_sq, state.backend
+        )
+
+
+def test_measure_split_inputs_reach_every_lane_count():
+    # one to four nonzero lanes on the exact backend, one or two on the
+    # approximate one
+    assert sorted({len(k) for k in nonzero_lane_sets(EXACT)}) == [1, 2, 3, 4]
+    assert sorted(nonzero_lane_sets(BACKENDS["approx"])) == [(0,), (0, 2), (2,)]
+
+
+# --- state files straight to lanes ---------------------------------------------------
+
+
+def term_path_parse(text, backend):
+    """parse_state as qnet did it before: each literal to a CScalar by
+    `parse_cscalar` and `to_backend`, then `sort_and_merge` of the terms."""
+    terms, nqubits = [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 2:
+            raise ParseError("expected 'cplx | bitstring'", line=lineno)
+        try:
+            coeff = to_backend(parse_cscalar(parts[0]), backend)
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        bits_text = parts[1].strip()
+        if not bits_text or set(bits_text) - {"0", "1"}:
+            raise ParseError(f"bad bitstring {bits_text!r}", line=lineno)
+        if nqubits is None:
+            nqubits = len(bits_text)
+            if nqubits > MAX_QUBITS:
+                raise ParseError(f"qubit count must be in 1..{MAX_QUBITS}", line=lineno)
+        elif len(bits_text) != nqubits:
+            raise ParseError(f"bitstring length {len(bits_text)} != {nqubits}", line=lineno)
+        terms.append(Term(coeff, tuple(c == "1" for c in bits_text)))
+    if nqubits is None:
+        raise ParseError("state file contains no terms")
+    return sort_and_merge(terms, nqubits, backend)
+
+
+def real_literal(rng):
+    """A real literal in every form of the grammar, sqrt(2) parts of both
+    signs and of magnitude above 1 among them."""
+    def rat(signed=True):
+        num = rng.choice((0, 1, rng.randint(1, 9), rng.randint(1, 10**12)))
+        if signed and rng.random() < 0.5:
+            num = -num
+        den = rng.choice((1, rng.randint(1, 12), rng.randint(1, 10**9)))
+        return f"{num}" if den == 1 and rng.random() < 0.5 else f"{num}/{den}"
+
+    form = rng.randrange(6)
+    if form == 0:
+        return rat()
+    if form == 1:
+        return f"{rat()}*s2"
+    if form == 2:
+        return f"{rat()}{rng.choice('+-')}{rat(signed=False)}*s2"
+    return f"{rat()}{rng.choice('+-')}s2"
+
+
+MALFORMED = (
+    "(1, 0) 01",
+    "(1, 0) | 01 | 1",
+    "(1, 0 | 01",
+    "(1, 0, 0) | 01",
+    "1 | 01",
+    "(1/0, 0) | 01",
+    "(s2, 0) | 01",
+    "(1*s2*s2, 0) | 01",
+    "(1+2/0*s2, 0) | 01",
+    "(1, 0) | 0a",
+    "(1, 0) | ",
+    "(1, 0) | 0",
+    "(1, 0) | 011",
+    f"(1, 0) | {'0' * (MAX_QUBITS + 1)}",
+    f"({'9' * 5000}, 0) | 01",
+)
+
+
+def state_file(rng, nqubits, malformed):
+    """Shuffled terms with duplicated indices, explicit zero terms, comments
+    and blank lines; with `malformed`, one bad line somewhere."""
+    lines = []
+    for _ in range(rng.randint(1, 3 << nqubits)):
+        index = rng.randrange(1 << nqubits)
+        if rng.random() < 0.15:
+            cplx = rng.choice(("(0, 0)", "(0/5, -0*s2)", "(0+0*s2, 0)"))
+        else:
+            cplx = f"({real_literal(rng)}, {real_literal(rng)})"
+        line = f"{cplx} | {index:0{nqubits}b}"
+        lines.append(line + "  # a comment" if rng.random() < 0.2 else line)
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", "   ", "# a comment line")))
+    if malformed:
+        bad = rng.choice(MALFORMED)
+        if nqubits != 2:
+            bad = bad.replace("| 01", f"| {'0' * nqubits}")
+        lines.insert(rng.randint(0, len(lines)), bad)
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+PARSE_BACKENDS = {
+    "exact": EXACT,
+    "approx-1/1000": ApproxBackend(Fraction(1, 1000)),
+    "approx-1/10^12": ApproxBackend(),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_BACKENDS)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 4), malformed=st.booleans())
+def test_parse_state_matches_the_term_path(name, seed, nqubits, malformed):
+    backend = PARSE_BACKENDS[name]
+    text = state_file(random.Random(seed), nqubits, malformed)
+    try:
+        expected = term_path_parse(text, backend)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_state(text, backend)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    state = parse_state(text, backend)
+    assert (state.nqubits, state.lanes, state.unit, state.scale_sq, state.lane_norm) == (
+        expected.nqubits, expected.lanes, expected.unit, expected.scale_sq, expected.lane_norm
+    )
+    assert type(state.unit) is type(expected.unit)
+
+
+def test_parse_state_rounds_each_approximate_term():
+    # at eps 1/1000 the sqrt(2) stand-in depends on |b| through the
+    # tolerance eps / |b|, so rounding 5/2*s2 and -2*s2 apart differs from
+    # rounding their sum 1/2*s2
+    backend = ApproxBackend(Fraction(1, 1000))
+    state = parse_state("(5/2*s2, 0) | 0\n(-2*s2, 0) | 0\n(1, 0) | 1\n", backend)
+    each = backend.from_parts(0, Fraction(5, 2)) + backend.from_parts(0, -2)
+    assert each != backend.from_parts(0, Fraction(1, 2))
+    assert state.coeff(0).re == each
