@@ -40,6 +40,7 @@ checked against a fold that normalizes after every gate in
 `test_interpreter.py::TestEvaluationProperties::test_matches_manual_fold`.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -955,11 +956,7 @@ def split_input(rng, nqubits, backend, nonzero):
 def nonzero_lane_sets(backend):
     # the approximate backend's sqrt(2) lanes (1 and 3) stay zero
     lanes = (0, 1, 2, 3) if backend is EXACT else (0, 2)
-    return [
-        tuple(k for k in lanes if mask >> k & 1)
-        for mask in range(1, 16)
-        if all(k in lanes for k in range(4) if mask >> k & 1)
-    ]
+    return [c for r in range(1, len(lanes) + 1) for c in itertools.combinations(lanes, r)]
 
 
 @pytest.mark.parametrize("name", BACKENDS)
