@@ -135,7 +135,8 @@ def measure_split(state: QState, n: int) -> tuple:
     unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums.  Only
     lanes that are not all zero are split, and O is the state's lane norm
     minus Z.  The collapsed state carries its kept half's sum as its
-    ``lane_norm``."""
+    ``lane_norm``; when the dropped half is all zero already, it keeps the
+    input's lanes."""
     mask = qubit_mask(state.nqubits, n)
     halves = [_split(lane, mask) if any(lane) else None for lane in state.lanes]
     zx, zy = lane_norm_sq(*(h[0] if h else () for h in halves))  # () sums to 0
@@ -146,6 +147,8 @@ def measure_split(state: QState, n: int) -> tuple:
     zeros = [0] * (1 << (state.nqubits - 1))
 
     def collapse(outcome) -> QState:
+        if not sums[1 - outcome][0]:  # x sums squares: 0 only for an all-zero half
+            return state.with_lanes(state.lanes, state.unit, sums[outcome])
         kept = [None if h is None else (zeros, h[1]) if outcome else (h[0], zeros) for h in halves]
         lanes = (lane if k is None else _merge(*k, mask) for lane, k in zip(state.lanes, kept))
         return state.with_lanes(lanes, state.unit, sums[outcome])

@@ -17,10 +17,11 @@ carries ``lane_norm``, the lanes' squared norms summed as (x, y) for
 x + y*sqrt(2) (``lane_norm_sq``), or None when it is not known; the gates
 carry it, so ``normalize`` takes the root of an integer pair it need not
 sum again.  The CScalar view ``amps`` is computed on each read and not
-stored; every rational in it is a ``Fraction``, which reduces itself, so
-the view does not depend on how far the lanes are reduced.  On the exact
-backend ``unit`` is in Q[sqrt(2)]; on the approximate backend it is a
-rational and the sqrt(2) lanes re.b and im.b stay zero.
+stored, each entry as ``backend.from_parts(a, b) * unit``; every scalar in
+it is reduced, a ``QExt`` to its integer triple and a ``Fraction`` by
+itself, so the view does not depend on how far the lanes are reduced.
+On the exact backend ``unit`` is in Q[sqrt(2)]; on the approximate backend
+it is a rational and the sqrt(2) lanes re.b and im.b stay zero.
 
 States additionally carry ``scale_sq``, an exact squared scale factor:
 the physical amplitude at index i is amps[i] / sqrt(scale_sq).  In the
@@ -262,20 +263,11 @@ def _lanes_of_rows(rows: dict, size: int, backend: Backend) -> tuple[tuple, Scal
 
 
 def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
-    """The CScalar value of every coefficient z * unit.
-
-    With unit = (p + q*sqrt(2)) / s for integers p, q, s, a part
-    a + b*sqrt(2) becomes ((a*p + 2*b*q) + (a*q + b*p)*sqrt(2)) / s.
-    """
-    p, q, s = int_parts(unit)
-
-    def part(a, b):
-        x, y = a * p + 2 * b * q, a * q + b * p
-        return backend.from_parts(Fraction(x, s), Fraction(y, s))
-
+    """The CScalar value of every coefficient z * unit."""
+    part = backend.from_parts
     zero = CScalar(backend.zero, backend.zero)
     return tuple(
-        CScalar(part(ra, rb), part(ia, ib)) if ra or rb or ia or ib else zero
+        CScalar(part(ra, rb) * unit, part(ia, ib) * unit) if ra or rb or ia or ib else zero
         for ra, rb, ia, ib in zip(*lanes)
     )
 
@@ -320,15 +312,8 @@ def _lane_norm(state: QState) -> tuple[int, int]:
 
 def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
-    return _times_unit_sq(*_lane_norm(state), state.unit, state.backend)
-
-
-def _times_unit_sq(x: int, y: int, unit: Scalar, backend: Backend) -> Scalar:
-    """(x + y*sqrt(2)) * unit^2 as a backend scalar, computed in integers:
-    with unit = (p + q*sqrt(2)) / s, unit^2 = ((p^2 + 2 q^2) + 2pq*sqrt(2)) / s^2."""
-    p, q, s = int_parts(unit)
-    u, v, ss = p * p + 2 * q * q, 2 * p * q, s * s
-    return backend.from_parts(Fraction(x * u + 2 * y * v, ss), Fraction(x * v + y * u, ss))
+    unit = state.unit
+    return state.backend.from_parts(*_lane_norm(state)) * unit * unit
 
 
 def normalize(state: QState) -> QState:
@@ -352,7 +337,7 @@ def normalize(state: QState) -> QState:
         raise ValueError("cannot normalize the zero state")
     new_unit = backend.unit_for_norm(unit, x, y)
     if new_unit is None:
-        scale_sq = _times_unit_sq(x, y, unit, backend)
+        scale_sq = backend.from_parts(x, y) * unit * unit
         return QState.from_lanes(state.nqubits, state.lanes, unit, scale_sq, backend, norm)
     return QState.from_lanes(state.nqubits, state.lanes, new_unit, backend.one, backend, norm)
 

@@ -2,7 +2,8 @@
 the approximate rational backend built on a bisection square root.
 
 The exact backend represents every real scalar as ``a + b*sqrt(2)`` with
-rational ``a``, ``b``; this field is closed under the arithmetic the gate
+rational ``a``, ``b``, stored as one reduced integer triple (p, q, d) for
+(p + q*sqrt(2)) / d; this field is closed under the arithmetic the gate
 set needs (the H gate only ever divides by sqrt(2)) and admits exact sign
 tests, so measurement thresholds never need approximation.  The
 approximate backend uses plain rationals and ``iter_sqrt``.
@@ -46,45 +47,49 @@ def sign(p: int, q: int) -> int:
 
 
 def int_parts(x) -> tuple[int, int, int] | None:
-    """Integers (p, q, d) with d > 0 and x = (p + q*sqrt(2)) / d, for a
-    QExt or a rational x; None for any other type.
-
-    A QExt's two parts are put over one common denominator, which is free
-    when they already share it.
-    """
+    """Integers (p, q, d) with d > 0 and x = (p + q*sqrt(2)) / d, with no
+    common factor, for a QExt or a rational x; None for any other type."""
     if isinstance(x, QExt):
-        a, b = x.a, x.b
-        ad, bd = a.denominator, b.denominator
-        if ad == bd:
-            return a.numerator, b.numerator, ad
-        d = math.lcm(ad, bd)
-        return a.numerator * (d // ad), b.numerator * (d // bd), d
+        return x.p, x.q, x.d
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator
     return None
 
 
 class QExt:
-    """An element a + b*sqrt(2) of Q[sqrt(2)] with exact rational parts.
+    """An element (p + q*sqrt(2)) / d of Q[sqrt(2)], stored as its reduced
+    integer triple: d > 0 and gcd(p, q, d) = 1.
 
-    It is stored as two reduced ``Fraction``s ``a`` and ``b``, and its
-    arithmetic runs on plain integers: each operand is read as
-    (p + q*sqrt(2)) / d by ``int_parts``, the operation is done on the
-    integers, and the result's two Fractions are made once.
-    The representation is unique: sqrt(2) is irrational, so equality is
-    componentwise.  Mixed arithmetic with int and Fraction coerces the
-    other operand.
+    The representation is unique: sqrt(2) is irrational, so two values are
+    equal iff their triples are.  Arithmetic runs on the integers, with
+    ints and Fractions read as (numerator, 0, denominator) by
+    ``int_parts``; ``a`` and ``b``, the rational parts of a + b*sqrt(2),
+    are read-only Fractions made on each read.  A QExt is immutable by
+    convention, as a Fraction is: nothing rebinds p, q or d once it is made.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
-        # a part that is already a Fraction is stored as it is
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+        if type(a) is int and type(b) is int:
+            p, q, d = a, b, 1
+        else:
+            # ints and Fractions are reduced, Fraction(x) reads any other input
+            # it accepts, and over the parts' lcm the triple is reduced too
+            a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+            b = b if isinstance(b, (int, Fraction)) else Fraction(b)
+            ad, bd = a.denominator, b.denominator
+            d = math.lcm(ad, bd)
+            p, q = a.numerator * (d // ad), b.numerator * (d // bd)
+        self.p, self.q, self.d = p, q, d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QExt is immutable")
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     def __repr__(self) -> str:
         return f"QExt({self.a!s}, {self.b!s})"
@@ -92,38 +97,26 @@ class QExt:
     def __str__(self) -> str:
         return format_qext(self)
 
-    @staticmethod
-    def _coerce(other) -> "QExt | None":
-        if isinstance(other, QExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QExt(other)
-        return None
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return (self.p, self.q, self.d) == o
 
     def __hash__(self) -> int:
         # a rational element equals its Fraction, so it must hash like one
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if not self.q:
+            return hash(self.p if self.d == 1 else Fraction(self.p, self.d))
+        return hash((self.p, self.q, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return bool(self.p or self.q)
 
     def __add__(self, other):
         o = int_parts(other)
         if o is None:
             return NotImplemented
-        p, q, d = int_parts(self)
-        r, s, e = o
-        if d == e:
-            return _from_ints(p + r, q + s, d)
-        return _from_ints(p * e + r * d, q * e + s * d, d * e)
+        return _sum(self.p, self.q, self.d, *o)
 
     __radd__ = __add__
 
@@ -131,27 +124,23 @@ class QExt:
         o = int_parts(other)
         if o is None:
             return NotImplemented
-        p, q, d = int_parts(self)
         r, s, e = o
-        if d == e:
-            return _from_ints(p - r, q - s, d)
-        return _from_ints(p * e - r * d, q * e - s * d, d * e)
+        return _sum(self.p, self.q, self.d, -r, -s, e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(-self.p, -self.q, self.d, *o)
 
     def __neg__(self):
-        p, q, d = int_parts(self)
-        return _from_ints(-p, -q, d)
+        return _from_ints(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
         o = int_parts(other)
         if o is None:
             return NotImplemented
-        p, q, d = int_parts(self)
+        p, q, d = self.p, self.q, self.d
         r, s, e = o
         return _from_ints(p * r + 2 * q * s, p * s + q * r, d * e)
 
@@ -161,38 +150,26 @@ class QExt:
         o = int_parts(other)
         if o is None:
             return NotImplemented
-        # multiply by the conjugate (r - s*sqrt(2)); the field norm
-        # r^2 - 2 s^2 is zero only for the zero element
-        r, s, e = o
-        norm = r * r - 2 * s * s
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
-        p, q, d = int_parts(self)
-        if norm < 0:
-            norm, r, s = -norm, -r, -s
-        return _from_ints((p * r - 2 * q * s) * e, (q * r - p * s) * e, d * norm)
+        return _quotient(self.p, self.q, self.d, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = int_parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(*o, self.p, self.q, self.d)
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt(2): -1, 0, or +1."""
-        a, b = self.a, self.b
-        # both denominators are positive, so multiplying by them keeps the sign
-        return sign(a.numerator * b.denominator, b.numerator * a.denominator)
+        """Exact sign of the real value: -1, 0, or +1."""
+        return sign(self.p, self.q)
 
     def sqrt(self) -> "QExt | None":
         """In-field square root with nonnegative sign, or None.
 
-        With self = (p + q*sqrt(2)) / d, the root is sqrt(P + Q*sqrt(2)) / d
-        for P = p*d and Q = q*d, and ``zsqrt`` finds that of P + Q*sqrt(2).
-        None is an ordinary outcome, not a failure: callers fall back to
-        deferred normalization.
+        The root is sqrt(P + Q*sqrt(2)) / d for P = p*d and Q = q*d, and
+        ``zsqrt`` finds that of P + Q*sqrt(2).  None is an ordinary
+        outcome, not a failure: callers fall back to deferred normalization.
         """
-        p, q, d = int_parts(self)
+        p, q, d = self.p, self.q, self.d
         if sign(p, q) < 0:
             raise ValueError("square root of a negative value")
         root = zsqrt(p * d, q * d)
@@ -239,18 +216,35 @@ def zsqrt(big_p: int, big_q: int) -> tuple[int, int] | None:
 
 
 def _from_ints(p: int, q: int, d: int) -> QExt:
-    """The QExt (p + q*sqrt(2)) / d for integers with d > 0; its two
-    Fractions are made here, and set past ``QExt.__init__``'s checks."""
+    """The QExt (p + q*sqrt(2)) / d for integers with d > 0, reduced."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
     x = _new_object(QExt)
-    _set_a(x, Fraction(p, d) if p else _ZERO)
-    _set_b(x, Fraction(q, d) if q else _ZERO)
+    x.p, x.q, x.d = p, q, d
     return x
 
 
-_ZERO = Fraction(0)
+def _sum(p: int, q: int, d: int, r: int, s: int, e: int) -> QExt:
+    """(p + q*sqrt(2)) / d + (r + s*sqrt(2)) / e."""
+    if d == e:
+        return _from_ints(p + r, q + s, d)
+    return _from_ints(p * e + r * d, q * e + s * d, d * e)
+
+
+def _quotient(p: int, q: int, d: int, r: int, s: int, e: int) -> QExt:
+    """(p + q*sqrt(2)) / d divided by (r + s*sqrt(2)) / e, by multiplying
+    by the conjugate r - s*sqrt(2); the field norm r^2 - 2 s^2 is zero only
+    for the zero element."""
+    norm = r * r - 2 * s * s
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
+    if norm < 0:
+        norm, r, s = -norm, -r, -s
+    return _from_ints((p * r - 2 * q * s) * e, (q * r - p * s) * e, d * norm)
+
+
 _new_object = object.__new__
-_set_a = QExt.a.__set__
-_set_b = QExt.b.__set__
 
 
 #: Real scalar of either backend: QExt exactly, Fraction approximately.
@@ -382,6 +376,7 @@ def approx_of_qext(x: QExt, e) -> Fraction:
 #   qext  := rat | [rat ('+'|'-')] rat '*' 's2' | rat ('+'|'-') 's2'
 #   cplx  := '(' qext ',' qext ')'
 
+_ZERO = Fraction(0)
 _RAT = r"-?\d+(?:/\d+)?"
 _RAT_RE = re.compile(rf"^{_RAT}$")
 _QEXT_S2_RE = re.compile(rf"^(?:(?P<a>{_RAT})(?P<sep>[+-]))?(?:(?P<b>{_RAT})\*)?s2$")
@@ -461,13 +456,21 @@ def parse_cscalar(text: str) -> CScalar:
 
 
 def format_qext(x: QExt) -> str:
-    if x.b == 0:
-        return str(x.a)
-    if x.a == 0:
-        return f"{x.b}*s2"
-    if x.b < 0:
-        return f"{x.a}-{-x.b}*s2"
-    return f"{x.a}+{x.b}*s2"
+    """x as a qext literal, each part written as ``str(Fraction)`` writes
+    it, computed from the triple."""
+    p, q, d = x.p, x.q, x.d
+    if not q:
+        return _ratio_text(p, d)
+    b = _ratio_text(q, d) + "*s2"
+    if not p:
+        return b
+    return _ratio_text(p, d) + ("" if q < 0 else "+") + b
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_cscalar(z: CScalar) -> str:

@@ -953,6 +953,21 @@ def split_input(rng, nqubits, backend, nonzero):
     return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
 
 
+def certain_input(rng, state, n, outcome):
+    """`state` with qubit n's other half zeroed, so that `outcome` has
+    probability 1; its kept half keeps a nonzero entry, and a carried
+    lane_norm is summed afresh."""
+    mask = 1 << (state.nqubits - 1 - n)
+    kept = [i for i in range(1 << state.nqubits) if bool(i & mask) == bool(outcome)]
+    lanes = [[x if i in kept else 0 for i, x in enumerate(lane)] for lane in state.lanes]
+    k = next((k for k, lane in enumerate(state.lanes) if any(lane)), 0)
+    if not any(map(any, lanes)):
+        lanes[k][rng.choice(kept)] = rng.choice((1, -1)) * rng.randint(1, 10**6)
+    lanes = tuple(map(tuple, lanes))
+    norm = None if state.lane_norm is None else lane_norm_sq(*lanes)
+    return state.with_lanes(lanes, state.unit, norm)
+
+
 def nonzero_lane_sets(backend):
     # the approximate backend's sqrt(2) lanes (1 and 3) stay zero
     lanes = (0, 1, 2, 3) if backend is EXACT else (0, 2)
@@ -968,6 +983,10 @@ def test_measure_split_matches_the_full_split(name, seed, nqubits, data):
     nonzero = data.draw(st.sampled_from([()] + nonzero_lane_sets(backend)))
     state = split_input(rng, nqubits, backend, nonzero)
     n = data.draw(st.integers(0, nqubits - 1))
+    # None, or the outcome of probability 1, whose dropped half is all zero
+    certain = data.draw(st.sampled_from((None, 0, 1)))
+    if nonzero and certain is not None:
+        state = certain_input(rng, state, n, certain)
     if not nonzero:
         with pytest.raises(ValueError, match="^cannot measure the zero state$"):
             full_split(state, n)
@@ -983,6 +1002,8 @@ def test_measure_split_matches_the_full_split(name, seed, nqubits, data):
         assert (out.nqubits, out.unit, out.scale_sq, out.backend) == (
             state.nqubits, state.unit, state.scale_sq, state.backend
         )
+        if outcome == certain:  # nothing to drop: the input's lanes, not copies
+            assert all(x is y for x, y in zip(out.lanes, state.lanes))
 
 
 def test_measure_split_inputs_reach_every_lane_count():

@@ -1,6 +1,7 @@
 """Byte-for-byte stdout of fixed CLI invocations.
 
-Each case runs ``qnet.cli.main`` in process and compares its stdout with
+Each case runs ``qnet.cli.main`` in process, and again as
+``python -m qnet`` in a subprocess, and compares its stdout with
 ``tests/golden/<case>.out``.  The recorded files are the output contract:
 a change that alters any of them changes what users see.  To record them
 afresh (only when an output change is intended), run
@@ -10,6 +11,8 @@ afresh (only when an output change is intended), run
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -117,13 +120,18 @@ CASES = {
 }
 
 
+def case_argv(name: str, tmp: str) -> list[str]:
+    """The case's argv, with its input files written under `tmp`."""
+    paths = {}
+    for key, (filename, text) in FILES.items():
+        paths[key] = Path(tmp, filename)
+        paths[key].write_text(text)
+    return [arg.format(**paths) for arg in CASES[name]]
+
+
 def run_case(name: str) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for key, (filename, text) in FILES.items():
-            paths[key] = Path(tmp, filename)
-            paths[key].write_text(text)
-        argv = [arg.format(**paths) for arg in CASES[name]]
+        argv = case_argv(name, tmp)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -135,6 +143,19 @@ def test_stdout_matches_recorded_bytes(name):
     code, out = run_case(name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_module_entry_point_prints_recorded_bytes(name, tmp_path):
+    root = GOLDEN.parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "qnet", *case_argv(name, tmp_path)],
+        cwd=root, env=env, capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,23 +1,25 @@
 """Differential and oracle tests for `QExt` arithmetic on integers.
 
-`QExt` stores two reduced Fractions and computes `+ - * /`, `sign` and
-`sqrt` on the integers of (p + q*sqrt(2)) / d.  Each operation is checked:
+`QExt` stores the reduced triple (p, q, d) of (p + q*sqrt(2)) / d and
+computes `+ - * /`, `sign` and `sqrt` on it.  Each operation is checked:
 
 - against a test-side copy of the Fraction formulas it replaced, for the
-  same reduced parts and the same types;
+  same reduced parts and the same types, and for a reduced triple;
 - against sympy with an exact sqrt(2), an oracle that shares no code with
   qnet;
 
-and `iter_sqrt`, which now reads numerators and denominators directly,
-against a copy of its Fraction body.
+its text against a copy of the Fraction-pair `format_qext`, its hash across
+routes to one value, and `iter_sqrt`, which now reads numerators and
+denominators directly, against a copy of its Fraction body.
 """
 
+import decimal
 import math
 import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qnet import QExt, iter_sqrt
 from qnet.scalar import int_parts, sign
@@ -91,6 +93,17 @@ FRACTION_OPS = {
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def fraction_format(x: QExt) -> str:
+    """`format_qext` as it was written on the two Fractions."""
+    if x.b == 0:
+        return str(x.a)
+    if x.a == 0:
+        return f"{x.b}*s2"
+    if x.b < 0:
+        return f"{x.a}-{-x.b}*s2"
+    return f"{x.a}+{x.b}*s2"
+
+
 def fraction_iter_sqrt(x, e) -> Fraction:
     """`iter_sqrt`'s closed form as it was written on Fractions."""
     x = Fraction(x)
@@ -134,6 +147,10 @@ def as_qext(x) -> QExt:
 
 
 def parts(x: QExt) -> tuple:
+    """The Fraction parts and their types, after checking that x is stored
+    as a reduced triple."""
+    assert type(x.p) is type(x.q) is type(x.d) is int
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
     return x.a, x.b, type(x.a), type(x.b)
 
 
@@ -169,6 +186,59 @@ def test_negation_and_sign_match_the_fraction_formulas(x):
     p, q, d = int_parts(x)
     assert d > 0 and (Fraction(p, d), Fraction(q, d)) == (x.a, x.b)
     assert sign(p, q) == x.sign()
+    assert (p, q, d) == (x.p, x.q, x.d)
+    parts(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(qexts)
+@example(QExt(0))
+@example(QExt(3))
+@example(QExt(Fraction(-7, 2)))
+@example(QExt(0, 1))
+@example(QExt(0, Fraction(-1, 2)))
+@example(QExt(2, -1))
+@example(QExt(Fraction(1, 6), Fraction(-3, 4)))
+@example(QExt(Fraction(-1, 4), Fraction(5, 6)))
+@example(QExt(Fraction(1, 2**200), 5))
+def test_text_matches_the_fraction_pair_format(x):
+    # examples: zero, integer and rational parts, b zero, negative, or alone,
+    # and a large denominator
+    assert str(x) == fraction_format(x)
+
+
+@pytest.mark.parametrize(
+    "x", [7, True, Fraction(-6, 4), "3/4", " -2 ", 0.375, decimal.Decimal("1.25"), 10**40 + 1]
+)
+def test_constructor_reads_what_fraction_reads(x):
+    for got in (QExt(x), QExt(x, x), QExt(0, x)):
+        parts(got)
+    assert QExt(x, x) == QExt(Fraction(x), Fraction(x))
+
+
+@pytest.mark.parametrize("x", [None, 1j, "s2", float("nan"), [1]])
+def test_constructor_refuses_what_fraction_refuses(x):
+    with pytest.raises(Exception) as want:
+        Fraction(x)
+    with pytest.raises(want.type):
+        QExt(x)
+    with pytest.raises(want.type):
+        QExt(0, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, qexts)
+def test_equal_values_hash_equal(a, b, y):
+    x = QExt(a, b)
+    assume(y)
+    routes = [QExt(a) + QExt(0, b), QExt(0, b) - -QExt(a), x * y / y, (x + y) - y, -(-x)]
+    assert routes == [x] * len(routes)
+    assert {hash(r) for r in routes} == {hash(x)}
+    # a rational value equals, and hashes like, its Fraction and int
+    assert QExt(a) == a and hash(QExt(a)) == hash(a)
+    assert hash(QExt(a.numerator)) == hash(a.numerator)
+    norm = x * QExt(a, -b)  # a^2 - 2 b^2, reached through sqrt(2) parts
+    assert norm == a * a - 2 * b * b and hash(norm) == hash(a * a - 2 * b * b)
 
 
 @settings(max_examples=400, deadline=None)
