@@ -261,12 +261,12 @@ def branches(
         gate, index = gates[index], index + 1
         # a normalized state of the circuit's width: the split cannot fail
         sums, collapse = _gates.measure_split(state, gate.operands[0])
-        total = backend.from_parts(sums[0][0] + sums[1][0], sums[0][1] + sums[1][1])
+        total = backend.from_ints(sums[0][0] + sums[1][0], sums[0][1] + sums[1][1], 1)
         for outcome in (1, 0):  # pushed so that outcome 0 is taken first
             x, y = sums[outcome]
             if x:  # x is a sum of squares, 0 only for an all-zero half
                 branch = _step(index, gate, collapse(outcome), None)
-                p = prob * (backend.from_parts(x, y) / total)
+                p = prob * (backend.from_ints(x, y, 1) / total)
                 pending.append((index, (*outcomes, outcome), p, branch))
 
 

@@ -17,7 +17,7 @@ carries ``lane_norm``, the lanes' squared norms summed as (x, y) for
 x + y*sqrt(2) (``lane_norm_sq``), or None when it is not known; the gates
 carry it, so ``normalize`` takes the root of an integer pair it need not
 sum again.  The CScalar view ``amps`` is computed on each read and not
-stored, each entry as ``backend.from_parts(a, b) * unit``; every scalar in
+stored, each entry as ``backend.from_ints(a, b, 1) * unit``; every scalar in
 it is reduced, a ``QExt`` to its integer triple and a ``Fraction`` by
 itself, so the view does not depend on how far the lanes are reduced.
 On the exact backend ``unit`` is in Q[sqrt(2)]; on the approximate backend
@@ -37,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -48,11 +48,10 @@ from .errors import (
 )
 from .scalar import (
     EXACT,
+    ApproxBackend,
     Backend,
     CScalar,
-    QExt,
     Scalar,
-    approx_of_parts,
     format_cscalar,
     int_parts,
     iter_sqrt,
@@ -118,10 +117,11 @@ class QState:
         amps = tuple(amps)
         if len(amps) != 1 << nqubits:
             raise ValueError("canonical state needs one coefficient per basis vector")
+        if type(scale_sq) is not type(backend.one):
+            scale_sq = backend.from_ints(*int_parts(scale_sq))
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
-        amps = (to_backend(c, backend) for c in amps)
-        rows = {i: (*backend.parts(c.re), *backend.parts(c.im)) for i, c in enumerate(amps)}
+        rows = dict(enumerate(to_backend(c, backend) for c in amps))
         _fill(self, nqubits, *_lanes_of_rows(rows, 1 << nqubits, backend), scale_sq, backend, None)
 
     @classmethod
@@ -252,22 +252,23 @@ def _fill(state, nqubits, lanes, unit, scale_sq, backend, lane_norm) -> None:
 
 def _lanes_of_rows(rows: dict, size: int, backend: Backend) -> tuple[tuple, Scalar]:
     """Four integer lanes of ``size`` entries over one common denominator,
-    and their unit 1/den: entry i has the rationals rows[i] = (re.a, re.b,
-    im.a, im.b), and an index not in ``rows`` is zero."""
-    den = math.lcm(*(x.denominator for row in rows.values() for x in row))
-    lanes = [[0] * size for _ in range(4)]
-    for i, row in rows.items():
-        for lane, x in zip(lanes, row):
-            lane[i] = x.numerator * (den // x.denominator)
-    return tuple(map(tuple, lanes)), backend.from_parts(Fraction(1, den), 0)
+    and their unit 1/den: entry i is the CScalar rows[i] in the backend's
+    field, read by ``int_parts``, and an index not in ``rows`` is zero."""
+    entries = [(i, int_parts(z.re), int_parts(z.im)) for i, z in rows.items()]
+    den = math.lcm(*(x[2] for _, re, im in entries for x in (re, im)))
+    re_a, re_b, im_a, im_b = lanes = [[0] * size for _ in range(4)]
+    for i, (p, q, d), (r, s, e) in entries:
+        re_a[i], re_b[i] = p * (den // d), q * (den // d)
+        im_a[i], im_b[i] = r * (den // e), s * (den // e)
+    return tuple(map(tuple, lanes)), backend.from_ints(1, 0, den)
 
 
 def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
     """The CScalar value of every coefficient z * unit."""
-    part = backend.from_parts
+    part = backend.from_ints
     zero = CScalar(backend.zero, backend.zero)
     return tuple(
-        CScalar(part(ra, rb) * unit, part(ia, ib) * unit) if ra or rb or ia or ib else zero
+        CScalar(part(ra, rb, 1) * unit, part(ia, ib, 1) * unit) if ra or rb or ia or ib else zero
         for ra, rb, ia, ib in zip(*lanes)
     )
 
@@ -313,7 +314,7 @@ def _lane_norm(state: QState) -> tuple[int, int]:
 def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
     unit = state.unit
-    return state.backend.from_parts(*_lane_norm(state)) * unit * unit
+    return state.backend.from_ints(*_lane_norm(state), 1) * unit * unit
 
 
 def normalize(state: QState) -> QState:
@@ -337,7 +338,7 @@ def normalize(state: QState) -> QState:
         raise ValueError("cannot normalize the zero state")
     new_unit = backend.unit_for_norm(unit, x, y)
     if new_unit is None:
-        scale_sq = backend.from_parts(x, y) * unit * unit
+        scale_sq = backend.from_ints(x, y, 1) * unit * unit
         return QState.from_lanes(state.nqubits, state.lanes, unit, scale_sq, backend, norm)
     return QState.from_lanes(state.nqubits, state.lanes, new_unit, backend.one, backend, norm)
 
@@ -442,12 +443,10 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
 
 
 def parse_state(text: str, backend: Backend = EXACT) -> QState:
-    """The listed state, built from each literal's rationals, summed per
-    basis vector, over one lcm; on the approximate backend each literal's
-    a + b*sqrt(2) is rounded by ``backend.from_parts`` first, as
-    ``to_backend`` would round it."""
-    rounds = type(backend.one) is not QExt
-    rows: dict[int, tuple] = {}
+    """The listed state: each literal made a CScalar by ``backend.from_ints``
+    (so the approximate backend rounds each literal, as ``to_backend``
+    would), summed per basis vector, and put on lanes over one lcm."""
+    rows: dict[int, CScalar] = {}
     nqubits: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -457,11 +456,10 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
         if len(parts) != 2:
             raise ParseError("expected 'cplx | bitstring'", line=lineno)
         try:
-            row = parse_cplx_parts(parts[0])
+            re, im = parse_cplx_parts(parts[0])
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if rounds and (row[1] or row[3]):
-            row = backend.from_parts(*row[:2]), 0, backend.from_parts(*row[2:]), 0
+        z = CScalar(backend.from_ints(*re), backend.from_ints(*im))
         bits_text = parts[1].strip()
         if not bits_text or set(bits_text) - {"0", "1"}:
             raise ParseError(f"bad bitstring {bits_text!r}", line=lineno)
@@ -476,7 +474,7 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
                 f"bitstring length {len(bits_text)} != {nqubits}", line=lineno
             )
         index = int(bits_text, 2)  # qubit 0 is the leftmost bit
-        rows[index] = tuple(map(add, rows[index], row)) if index in rows else row
+        rows[index] = rows[index] + z if index in rows else z
     if nqubits is None:
         raise ParseError("state file contains no terms")
     lanes, unit = _lanes_of_rows(rows, 1 << nqubits, backend)
@@ -585,4 +583,4 @@ def _deferred_root(scale_sq: Scalar, inv_tol: int, backend: Backend) -> tuple[in
     while backend.sign(scale_sq - 1) < 0:
         k, scale_sq = k + 1, scale_sq * 4
     guard = Fraction(1, 8 * inv_tol)
-    return k, iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard) / (1 << k)
+    return k, iter_sqrt(ApproxBackend(guard).from_ints(*int_parts(scale_sq)), guard) / (1 << k)

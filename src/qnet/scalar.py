@@ -9,11 +9,12 @@ tests, so measurement thresholds never need approximation.  The
 approximate backend uses plain rationals and ``iter_sqrt``.
 
 A backend, :class:`ExactBackend` or :class:`ApproxBackend`, is its field
-and nothing more: the constants zero, one and sqrt(2), the conversion of a
-scalar to and from its rational parts (a, b), sign and sqrt, and the
-unit that normalizes integer lanes of a given squared norm.  The
-state, gate, and interpreter modules use only that, so they stay
-backend-agnostic; ``to_backend`` moves a complex scalar between backends.
+and nothing more: the constants zero, one and sqrt(2), ``from_ints``, which
+makes a scalar of the integer triple (p, q, d) that ``int_parts`` reads
+from either backend's scalars, sign, and the unit that normalizes integer
+lanes of a given squared norm.  The state, gate, and interpreter modules
+use only that, so they stay backend-agnostic; ``to_backend`` moves a
+complex scalar between backends.
 """
 
 from __future__ import annotations
@@ -217,9 +218,10 @@ def zsqrt(big_p: int, big_q: int) -> tuple[int, int] | None:
 
 def _from_ints(p: int, q: int, d: int) -> QExt:
     """The QExt (p + q*sqrt(2)) / d for integers with d > 0, reduced."""
-    g = math.gcd(p, q, d)
-    if g != 1:
-        p, q, d = p // g, q // g, d // g
+    if d != 1:  # gcd(p, q, 1) is 1
+        g = math.gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
     x = _new_object(QExt)
     x.p, x.q, x.d = p, q, d
     return x
@@ -376,7 +378,6 @@ def approx_of_qext(x: QExt, e) -> Fraction:
 #   qext  := rat | [rat ('+'|'-')] rat '*' 's2' | rat ('+'|'-') 's2'
 #   cplx  := '(' qext ',' qext ')'
 
-_ZERO = Fraction(0)
 _RAT = r"-?\d+(?:/\d+)?"
 _RAT_RE = re.compile(rf"^{_RAT}$")
 _QEXT_S2_RE = re.compile(rf"^(?:(?P<a>{_RAT})(?P<sep>[+-]))?(?:(?P<b>{_RAT})\*)?s2$")
@@ -398,61 +399,65 @@ def parse_int(text: str) -> int:
         ) from None
 
 
-def _rational(text: str) -> Fraction:
-    """A literal that matches the rat grammar as a Fraction; a zero
-    denominator raises ZeroDivisionError."""
+def _rational(text: str, literal: str) -> tuple[int, int]:
+    """(n, d) of a match of the rat grammar, n/d as written; a zero
+    denominator is a ParseError that quotes the whole literal."""
     num, _, den = text.partition("/")
-    return Fraction(parse_int(num), parse_int(den) if den else 1)
+    n, d = parse_int(num), parse_int(den) if den else 1
+    if not d:
+        raise ParseError(f"zero denominator in {literal!r}")
+    return n, d
 
 
-def parse_rational(text: str) -> Fraction:
+def _rational_literal(text: str) -> tuple[int, int]:
+    """(n, d) of a rat literal, as ``_rational`` reads it."""
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ParseError(f"bad rational literal {text!r}")
-    try:
-        return _rational(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+    return _rational(text, text)
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(*_rational_literal(text))
 
 
 def parse_qext(text: str) -> QExt:
     """Parse a qext literal such as '1/2', '3/2+1*s2', or '-1/2*s2'."""
-    return QExt(*_qext_parts(text))
+    return _from_ints(*_qext_parts(text))
 
 
-def _qext_parts(text: str) -> tuple[Fraction, Fraction]:
-    """The rationals (a, b) of a qext literal a + b*sqrt(2)."""
+def _qext_parts(text: str) -> tuple[int, int, int]:
+    """Integers (p, q, d), d > 0, of a qext literal (p + q*sqrt(2)) / d,
+    not reduced."""
     text = text.strip()
     if "s2" not in text:
-        return parse_rational(text), _ZERO
+        n, d = _rational_literal(text)
+        return n, 0, d
     m = _QEXT_S2_RE.match(text)
     # a bare 's2' is not in the grammar; spell it '1*s2'
     if m is None or m["b"] is None and m["sep"] is None:
         raise ParseError(f"bad scalar literal {text!r}")
-    try:
-        a = _ZERO if m["a"] is None else _rational(m["a"])
-        b = Fraction(1) if m["b"] is None else _rational(m["b"])
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
-    return a, -b if m["sep"] == "-" else b
+    n, d = (0, 1) if m["a"] is None else _rational(m["a"], text)
+    r, e = (1, 1) if m["b"] is None else _rational(m["b"], text)
+    return n * e, (-r if m["sep"] == "-" else r) * d, d * e
 
 
-def parse_cplx_parts(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The rationals (re.a, re.b, im.a, im.b) of a cplx literal
-    '(qext, qext)', in the order of a state's lanes."""
+def parse_cplx_parts(text: str) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The ``_qext_parts`` triples of the real and imaginary parts of a cplx
+    literal '(qext, qext)'."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"bad complex literal {text!r}")
     parts = text[1:-1].split(",")
     if len(parts) != 2:
         raise ParseError(f"bad complex literal {text!r}")
-    return (*_qext_parts(parts[0]), *_qext_parts(parts[1]))
+    return _qext_parts(parts[0]), _qext_parts(parts[1])
 
 
 def parse_cscalar(text: str) -> CScalar:
     """Parse a cplx literal '(qext, qext)' into an exact CScalar."""
-    a, b, c, d = parse_cplx_parts(text)
-    return CScalar(QExt(a, b), QExt(c, d))
+    re, im = parse_cplx_parts(text)
+    return CScalar(_from_ints(*re), _from_ints(*im))
 
 
 def format_qext(x: QExt) -> str:
@@ -503,8 +508,9 @@ UNIT_HYPOTHESIS_TOL = Fraction(1, 10**4)
 # H, I and CN as well as after M where ``normalizes_after_unitaries`` is
 # set: exact arithmetic keeps the squared norm of a state through every
 # unitary gate, rational stand-ins for sqrt(2) and for square roots do not.
-# ``parts`` and ``from_parts`` convert a scalar to and from the rationals
-# (a, b) of a + b*sqrt(2); every conversion goes through them.
+# ``from_ints(p, q, d)`` is the scalar (p + q*sqrt(2)) / d for integers
+# with d > 0, and ``int_parts`` reads a scalar of either backend back as
+# such a triple: scalars cross module lines only as these triples.
 # ``unit_for_norm(unit, x, y)`` is the unit that makes integer lanes whose
 # squared norms sum to x + y*sqrt(2) > 0, times ``unit`` != 0, a state of
 # norm 1: unit / sqrt(unit^2 * (x + y*sqrt(2))), or None where the exact
@@ -521,17 +527,10 @@ class ExactBackend:
     one = QExt(1)
     sqrt_two = QExt(0, 1)
 
-    def parts(self, x: QExt) -> tuple[Fraction, Fraction]:
-        return x.a, x.b
-
-    def from_parts(self, a: Rational, b: Rational) -> QExt:
-        return QExt(a, b)
+    from_ints = staticmethod(_from_ints)
 
     def sign(self, x: QExt) -> int:
         return x.sign()
-
-    def sqrt(self, x: QExt) -> QExt | None:
-        return x.sqrt()
 
     def unit_for_norm(self, unit: QExt, x: int, y: int) -> QExt | None:
         """sign(unit) / sqrt(x + y*sqrt(2)), or None when that root is not
@@ -571,24 +570,20 @@ class ApproxBackend:
     def sqrt_two(self) -> Fraction:
         return iter_sqrt(2, self.eps)
 
-    def parts(self, x: Fraction) -> tuple[Fraction, int]:
-        return x, 0
-
-    def from_parts(self, a: Rational, b: Rational) -> Fraction:
-        """The one place an exact value is rounded: to within eps."""
-        return approx_of_parts(a, b, self.eps)
+    def from_ints(self, p: int, q: int, d: int) -> Fraction:
+        """(p + q*sqrt(2)) / d, the one place an exact value is rounded: to
+        within eps."""
+        a = Fraction(p, d)
+        return approx_of_parts(a, Fraction(q, d), self.eps) if q else a
 
     def sign(self, x: Fraction) -> int:
         return (x > 0) - (x < 0)
-
-    def sqrt(self, x: Fraction) -> Fraction:
-        return iter_sqrt(x, self.eps)
 
     def unit_for_norm(self, unit: Fraction, x: int, y: int) -> Fraction:
         """unit / iter_sqrt(unit^2 * x); y is 0, as the sqrt(2) lanes are.
 
         ``iter_sqrt`` is not multiplicative, so the root is taken of the
-        whole squared norm, as ``sqrt`` would take it.
+        whole squared norm.
         """
         p, s = unit.numerator, unit.denominator
         root = iter_sqrt(Fraction(x * p * p, s * s), self.eps)
@@ -607,9 +602,7 @@ EXACT = ExactBackend()
 
 def to_backend(z: CScalar, backend: Backend) -> CScalar:
     """z with parts of the backend's scalar type: z itself when it has them,
-    else each part rebuilt by ``backend.from_parts``."""
+    else each part rebuilt from its ``int_parts`` by ``backend.from_ints``."""
     if type(z.re) is type(backend.one):
         return z
-    # the other backend's scalar: a QExt, or a rational with no sqrt(2) part
-    re, im = ((x.a, x.b) if isinstance(x, QExt) else (x, 0) for x in (z.re, z.im))
-    return CScalar(backend.from_parts(*re), backend.from_parts(*im))
+    return CScalar(backend.from_ints(*int_parts(z.re)), backend.from_ints(*int_parts(z.im)))

@@ -217,7 +217,7 @@ def verify_teleportation(
     """
     approx = isinstance(backend, ApproxBackend)
     tol = backend.check_tol if approx else None
-    quarter = backend.from_parts(Fraction(1, 4), 0)
+    quarter = backend.from_ints(1, 0, 4)
     cases: list[TeleportCase] = []
     for alpha, beta in inputs:
         alpha, beta, expected_qubit, initial = _payload(alpha, beta, backend)

@@ -22,7 +22,7 @@ Each fast path is checked against the slower rule it replaces:
   decided on the lanes, against the same comparisons of the two views;
 - `normalize` and `narrow_to_qubit`, which take an integer root of the
   lanes' norm sum in Z[sqrt(2)], against the root of the whole squared
-  norm by ``backend.sqrt``, on negative units and units with a sqrt(2)
+  norm by `field_sqrt`, on negative units and units with a sqrt(2)
   part; and the ``lane_norm`` that the gates carry against the lane sum.
 
 - `measure_split`, which splits only the lanes that are not all zero and
@@ -87,7 +87,7 @@ from qnet.qstate import (
     physical_amplitudes,
 )
 from qnet.teleport import max_component_gap
-from qnet.scalar import approx_of_parts, format_cscalar
+from qnet.scalar import approx_of_parts, format_cscalar, int_parts
 
 from support import (
     ops_to_circuit,
@@ -169,6 +169,25 @@ def test_iter_sqrt_equals_the_bisection(x, e):
 # --- gates on CScalar coefficients, one at a time ----------------------------------
 
 
+def from_rationals(backend, a, b):
+    """The backend scalar a + b*sqrt(2) of rationals a and b, by ``from_ints``."""
+    a, b = Fraction(a), Fraction(b)
+    d = a.denominator * b.denominator
+    return backend.from_ints(a.numerator * b.denominator, b.numerator * a.denominator, d)
+
+
+def rationals_of(x):
+    """The rationals (a, b) of a backend scalar a + b*sqrt(2)."""
+    p, q, d = int_parts(x)
+    return Fraction(p, d), Fraction(q, d)
+
+
+def field_sqrt(backend, x):
+    """The square root in the backend's field: ``QExt.sqrt`` (None outside
+    Q[sqrt(2)]) or ``iter_sqrt`` at the backend's eps."""
+    return x.sqrt() if isinstance(x, QExt) else iter_sqrt(x, backend.eps)
+
+
 def cscalar_gate(amps, nqubits, backend, op, draw=None):
     """One gate on a tuple of CScalars; returns (amps, M outcome or None)."""
     kind, q = op[0], op[-1]
@@ -207,7 +226,7 @@ def cscalar_normalize(amps, backend):
     nsq = backend.zero
     for c in amps:
         nsq = nsq + c.norm_sq()
-    root = backend.sqrt(nsq)
+    root = field_sqrt(backend, nsq)
     if root is None:
         return amps, nsq
     return tuple(c / root for c in amps), backend.one
@@ -325,7 +344,7 @@ def cscalar_narrow(state, n):
     a0, a1 = rows[0]
     if any(x0 * a1 != x1 * a0 for x0, x1 in rows[1:]):
         return EntangledError
-    root = state.backend.sqrt(a0.norm_sq() + a1.norm_sq())
+    root = field_sqrt(state.backend, a0.norm_sq() + a1.norm_sq())
     if root is None:
         return NotRepresentableError
     return a0 / root, a1 / root
@@ -494,7 +513,7 @@ def test_view_of_unreduced_lanes_equals_the_reduced_view(name, seed, nqubits, fa
     # rational parts even, sqrt(2) parts zero on the approximate backend
     sqrt2_factor = factor if backend is EXACT else 0
     lanes = (lane(2 * factor), lane(sqrt2_factor), lane(2 * factor), lane(sqrt2_factor))
-    unit = backend.from_parts(Fraction(rng.randint(1, 99), rng.randint(1, 99)), rng.randint(-9, 9))
+    unit = from_rationals(backend, Fraction(rng.randint(1, 99), rng.randint(1, 99)), rng.randint(-9, 9))
     state = QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
     reduced = state.reduced()
     if any(map(any, lanes)):
@@ -526,7 +545,7 @@ def fraction_path_root(state, digits):
     guard = Fraction(1, 8 * 10 ** (digits + 2))
     if state.scale_sq == backend.one:
         return guard, Fraction(1)
-    root = iter_sqrt(approx_of_parts(*backend.parts(scale_sq), guard), guard)
+    root = iter_sqrt(approx_of_parts(*rationals_of(scale_sq), guard), guard)
     return guard / (1 << k), root / (1 << k)
 
 
@@ -534,9 +553,8 @@ def fraction_path_decimals(state, digits):
     """physical_amplitudes as a Fraction per part: approx_of_parts, the
     root, then format_fixed's rounding of x * 10^digits."""
     fine, root = fraction_path_root(state, digits)
-    parts = state.backend.parts
     return [
-        tuple(round(approx_of_parts(*parts(z), fine) / root * 10**digits) for z in (c.re, c.im))
+        tuple(round(approx_of_parts(*rationals_of(z), fine) / root * 10**digits) for z in (c.re, c.im))
         for c in state.amps
     ]
 
@@ -558,7 +576,7 @@ def decimal_input(rng, backend, digits, deferred, exponent):
     nqubits = rng.randint(1, 2)
     if deferred:
         scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(10) ** exponent
-        scale_sq = backend.from_parts(scale, scale * rng.randint(0, 5) / 7)
+        scale_sq = from_rationals(backend, scale, scale * rng.randint(0, 5) / 7)
     else:
         scale_sq = backend.one
     probe = QState(nqubits, [CScalar(backend.one)] * (1 << nqubits), scale_sq, backend)
@@ -582,7 +600,7 @@ def decimal_input(rng, backend, digits, deferred, exponent):
                 (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)), random_sqrt2_part(rng, backend))
                 for _ in range(2)
             ]
-        amps.append(CScalar(*(backend.from_parts(a, b) for a, b in parts)))
+        amps.append(CScalar(*(from_rationals(backend, a, b) for a, b in parts)))
     state = QState(nqubits, amps, scale_sq, backend)
     # the same values over other lanes: (a + b*sqrt(2)) * (u + v*sqrt(2)),
     # with v = 0 on the approximate backend, whose sqrt(2) lanes stay zero
@@ -595,7 +613,7 @@ def decimal_input(rng, backend, digits, deferred, exponent):
         [x * u + 2 * y * v for x, y in zip(im_a, im_b)],
         [x * v + y * u for x, y in zip(im_a, im_b)],
     ]
-    unit = state.unit / backend.from_parts(u, v)
+    unit = state.unit / backend.from_ints(u, v, 1)
     return QState.from_lanes(nqubits, map(tuple, lanes), unit, scale_sq, backend)
 
 
@@ -639,7 +657,7 @@ def random_unit(rng, backend):
         a = Fraction(rng.randint(-99, 99), rng.randint(1, 10 ** rng.randint(0, 12)))
         b = Fraction(rng.randint(-99, 99), rng.randint(1, 999)) if backend is EXACT else 0
         if a or b:
-            return backend.from_parts(a, b)
+            return from_rationals(backend, a, b)
 
 
 def times(lanes, wa, wb):
@@ -671,7 +689,7 @@ def test_lane_equality_matches_the_view(name, seed, nqubits, perturb):
     if perturb:
         lane = rng.choice((0, 1, 2, 3) if backend is EXACT else (0, 2))
         other[lane][rng.randrange(1 << nqubits)] += rng.choice((1, -1))
-    b = QState.from_lanes(nqubits, other, unit / backend.from_parts(wa, wb), backend.one, backend)
+    b = QState.from_lanes(nqubits, other, unit / backend.from_ints(wa, wb, 1), backend.one, backend)
     assert (a == b) == (a.amps == b.amps) == (not perturb)
     assert (b == a) == (a == b)
 
@@ -747,14 +765,14 @@ def test_carried_lane_norm_equals_the_lane_sum(name, seed, nqubits, ngates, star
 
 def qext_path_normalize(state):
     """normalize by the squared norm as one backend scalar and its root by
-    ``backend.sqrt``, as qnet took it before the integer root: (lanes,
+    `field_sqrt`, as qnet took it before the integer root: (lanes,
     unit, scale_sq), or the ValueError it raises."""
     state = state.reduced()
     backend = state.backend
-    nsq = backend.from_parts(*lane_norm_sq(*state.lanes)) * (state.unit * state.unit)
+    nsq = backend.from_ints(*lane_norm_sq(*state.lanes), 1) * (state.unit * state.unit)
     if backend.sign(nsq) == 0:
         raise ValueError("cannot normalize the zero state")
-    root = backend.sqrt(nsq)
+    root = field_sqrt(backend, nsq)
     if root is None:
         return state.lanes, state.unit, nsq
     unit = state.unit if root == backend.one else state.unit / root
@@ -777,7 +795,7 @@ def qext_path_narrow(state, n):
         return EntangledError
     backend = state.backend
     x, y = lane_norm_sq(*zip(a0, a1))
-    root = backend.sqrt(backend.from_parts(x, y) * (state.unit * state.unit))
+    root = field_sqrt(backend, backend.from_ints(x, y, 1) * (state.unit * state.unit))
     if root is None:
         return NotRepresentableError
     return tuple(zip(a0, a1)), state.unit / root
@@ -820,7 +838,7 @@ def norm_input(rng, nqubits, backend, kind):
     lanes = norm_input_lanes(rng, nqubits, backend, kind)
     scale_sq = backend.one
     if rng.random() < 0.3:
-        scale_sq = backend.from_parts(Fraction(rng.randint(1, 99), rng.randint(1, 99)), 0)
+        scale_sq = backend.from_ints(rng.randint(1, 99), 0, rng.randint(1, 99))
     norm = lane_norm_sq(*lanes) if rng.random() < 0.5 else None
     return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
 
@@ -892,8 +910,7 @@ def test_norm_inputs_reach_every_outcome(name):
         if not any(map(any, state.lanes)):
             continue
         scales.add(normalize(state).scale_sq == backend.one)
-        parts = backend.parts(state.unit)
-        units.add((backend.sign(state.unit), bool(parts[1])))
+        units.add((backend.sign(state.unit), bool(int_parts(state.unit)[1])))
         product = tensor_product(state, norm_input(rng, 1, backend, rng.choice(NORM_KINDS)))
         outcome = qext_path_narrow(product, product.nqubits - 1)
         narrowed.add(outcome if isinstance(outcome, type) else "qubit")
@@ -948,7 +965,7 @@ def split_input(rng, nqubits, backend, nonzero):
     lanes = tuple(map(tuple, lanes))
     scale_sq = backend.one
     if rng.random() < 0.3:
-        scale_sq = backend.from_parts(Fraction(rng.randint(1, 99), rng.randint(1, 99)), 0)
+        scale_sq = backend.from_ints(rng.randint(1, 99), 0, rng.randint(1, 99))
     norm = lane_norm_sq(*lanes) if rng.random() < 0.5 else None
     return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
 
@@ -1140,6 +1157,6 @@ def test_parse_state_rounds_each_approximate_term():
     # rounding their sum 1/2*s2
     backend = ApproxBackend(Fraction(1, 1000))
     state = parse_state("(5/2*s2, 0) | 0\n(-2*s2, 0) | 0\n(1, 0) | 1\n", backend)
-    each = backend.from_parts(0, Fraction(5, 2)) + backend.from_parts(0, -2)
-    assert each != backend.from_parts(0, Fraction(1, 2))
+    each = backend.from_ints(0, 5, 2) + backend.from_ints(0, -2, 1)
+    assert each != backend.from_ints(0, 1, 2)
     assert state.coeff(0).re == each

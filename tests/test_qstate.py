@@ -239,6 +239,20 @@ class TestConstructors:
         with pytest.raises(ValueError):
             zero_qstate(0)
 
+    def test_int_scale_sq_becomes_the_exact_scalar(self):
+        state = QState(1, (ONE, ZERO), 1)
+        assert type(state.scale_sq) is QExt and state.scale_sq == QExt(1)
+        assert state == zero_qstate(1)
+        assert type(QState(1, (ONE, ZERO), F(1, 2)).scale_sq) is QExt
+
+    def test_exact_scale_sq_is_rounded_to_the_approximate_backend(self):
+        approx = ApproxBackend(F(1, 1000))
+        state = QState(1, (ONE, ZERO), QExt(1), approx)
+        assert type(state.scale_sq) is F and state.scale_sq == 1
+        assert state == zero_qstate(1, approx)
+        deferred = QState(1, (ONE, ZERO), QExt(0, 1), approx)
+        assert deferred.scale_sq == approx.sqrt_two
+
 
 class TestGetDeterministicQubit:
     def test_deterministic_lead_qubit(self):

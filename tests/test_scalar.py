@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qnet import CScalar, QExt, approx_of_qext, iter_sqrt
 from qnet.errors import ParseError
@@ -9,9 +10,11 @@ from qnet.scalar import (
     ApproxBackend,
     EXACT,
     ExactBackend,
+    approx_of_parts,
     format_cscalar,
     format_fixed,
     format_qext,
+    int_parts,
     parse_cscalar,
     parse_qext,
     parse_rational,
@@ -19,6 +22,7 @@ from qnet.scalar import (
 )
 
 from support import SQRT2_HP, rand_cscalar, rand_fraction, rand_qext
+from test_integer_scalar import denominators, numerators, parts, qexts, rationals
 
 
 class TestQExtArithmetic:
@@ -228,10 +232,16 @@ class TestLiterals:
             ("0", QExt(0)),
             ("-3", QExt(-3)),
             ("2*s2", QExt(0, 2)),
+            ("2/4+2/4*s2", QExt(F(1, 2), F(1, 2))),
+            ("-3/4-5/6*s2", QExt(F(-3, 4), F(-5, 6))),
+            ("0*s2", QExt(0)),
+            ("1/2-1*s2", QExt(F(1, 2), -1)),
+            ("-6/4", QExt(F(-3, 2))),
         ],
     )
     def test_parse(self, text, value):
         assert parse_qext(text) == value
+        assert parts(parse_qext(text)) == parts(value)  # reduced triples
 
     def test_round_trip(self):
         rng = random.Random(61)
@@ -243,6 +253,15 @@ class TestLiterals:
     def test_bad_qext(self, text):
         with pytest.raises(ParseError):
             parse_qext(text)
+
+    @pytest.mark.parametrize(
+        "text", ["1/0+s2", "1/0-1*s2", "1+1/0*s2", "1/2-3/0*s2", "2/0*s2", "-0/0"]
+    )
+    def test_zero_denominator_in_either_part(self, text):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_qext(text)
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_cscalar(f"(0, {text})")
 
     def test_cplx(self):
         z = parse_cscalar("(1/2*s2, 0)")
@@ -277,7 +296,7 @@ def public_members(cls) -> set[str]:
 
 FIELD_MEMBERS = {
     "name", "normalizes_after_unitaries", "zero", "one", "sqrt_two",
-    "parts", "from_parts", "sign", "sqrt", "unit_for_norm",
+    "from_ints", "sign", "unit_for_norm",
 }
 
 
@@ -289,27 +308,47 @@ class TestBackends:
         assert public_members(ApproxBackend) == FIELD_MEMBERS | {"eps", "check_tol"}
 
     def test_exact_surface(self):
-        assert EXACT.sqrt(QExt(3)) is None
-        assert EXACT.sqrt(QExt(F(1, 2))) == QExt(0, F(1, 2))
+        assert QExt(3).sqrt() is None
+        assert QExt(F(1, 2)).sqrt() == QExt(0, F(1, 2))
         assert EXACT.sign(QExt(1, -1)) == -1
         assert EXACT.sqrt_two == QExt(0, 1)
         assert (EXACT.zero, EXACT.one) == (QExt(0), QExt(1))
-        assert EXACT.from_parts(F(2, 3), 0) == QExt(F(2, 3))
-        assert EXACT.parts(QExt(F(1, 2), -3)) == (F(1, 2), F(-3))
-        assert EXACT.from_parts(F(1, 2), -3) == QExt(F(1, 2), -3)
+        assert EXACT.from_ints(2, 0, 3) == QExt(F(2, 3))
+        assert int_parts(QExt(F(1, 2), -3)) == (1, -6, 2)
+        assert EXACT.from_ints(1, -6, 2) == QExt(F(1, 2), -3)
+        assert parts(EXACT.from_ints(4, -24, 8)) == parts(QExt(F(1, 2), -3))
+        assert parts(EXACT.from_ints(4, 0, 8)) == parts(QExt(F(1, 2)))
 
     def test_approx_surface(self):
         backend = ApproxBackend(F(1, 10**9))
         assert backend.sign(F(-1, 3)) == -1
         assert backend.sign(F(0)) == 0
-        assert abs(backend.sqrt(F(2)) - SQRT2_HP) <= F(1, 10**9)
-        assert backend.sqrt_two == backend.sqrt(F(2))
+        assert abs(iter_sqrt(F(2), backend.eps) - SQRT2_HP) <= F(1, 10**9)
+        assert backend.sqrt_two == iter_sqrt(F(2), backend.eps)
         assert (backend.zero, backend.one) == (0, 1)
-        assert abs(backend.from_parts(1, 1) - (1 + SQRT2_HP)) <= F(1, 10**9)
-        assert backend.parts(F(2, 3)) == (F(2, 3), 0)
-        assert backend.from_parts(F(2, 3), 0) == F(2, 3)
-        assert type(backend.from_parts(5, 0)) is F
-        assert backend.from_parts(1, 1) == approx_of_qext(QExt(1, 1), backend.eps)
+        assert abs(backend.from_ints(1, 1, 1) - (1 + SQRT2_HP)) <= F(1, 10**9)
+        assert int_parts(F(2, 3)) == (2, 0, 3)
+        assert backend.from_ints(2, 0, 3) == F(2, 3)
+        assert type(backend.from_ints(5, 0, 1)) is F
+        assert backend.from_ints(1, 1, 1) == approx_of_qext(QExt(1, 1), backend.eps)
+
+    @given(qexts)
+    def test_exact_from_ints_inverts_int_parts(self, x):
+        assert EXACT.from_ints(*int_parts(x)) == x
+        assert parts(EXACT.from_ints(*int_parts(x))) == parts(x)
+
+    @given(rationals, st.integers(1, 40))
+    def test_approx_from_ints_inverts_int_parts(self, x, k):
+        backend = ApproxBackend(F(1, 10**k))
+        got = backend.from_ints(*int_parts(x))
+        assert type(got) is F and got == x
+
+    @given(numerators, numerators, denominators, st.integers(1, 40))
+    def test_approx_from_ints_rounds_the_same_rationals(self, p, q, d, k):
+        backend = ApproxBackend(F(1, 10**k))
+        got = backend.from_ints(p, q, d)
+        assert type(got) is F
+        assert got == approx_of_parts(F(p, d), F(q, d), backend.eps)
 
     def test_to_backend_returns_same_backend_input_unchanged(self):
         exact = CScalar(QExt(1, 2), QExt(F(-1, 3)))
