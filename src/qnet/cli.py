@@ -40,6 +40,7 @@ from .qstate import (
     basis_label,
     exact_texts,
     make_qubit,
+    max_component_gap,
     narrow_to_qubit,
     normalize,
     parse_state,
@@ -57,12 +58,7 @@ from .scalar import (
     parse_int,
     parse_rational,
 )
-from .teleport import (
-    DEFAULT_INPUTS,
-    max_component_gap,
-    teleport_protocol,
-    verify_teleportation,
-)
+from .teleport import DEFAULT_INPUTS, teleport_protocol, verify_teleportation
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -308,9 +304,6 @@ def main(argv=None) -> int:
         # the reader left; the flush at exit must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except ParseError as exc:
-        print(f"qnet: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except NotRepresentableError as exc:
         print(
             f"qnet: error: {exc}\n"
@@ -322,6 +315,7 @@ def main(argv=None) -> int:
         print(f"qnet: error: {exc}", file=sys.stderr)
         return EXIT_STREAM
     except (
+        ParseError,
         ValueError,
         ZeroDivisionError,
         IndexError,

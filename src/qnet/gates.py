@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg, sub
 
-from .qstate import QState, _lane_norm, lane_norm_sq, qubit_mask
+from .qstate import QState, lane_norm_sq, qubit_mask
 from .scalar import sign
 
 
@@ -99,10 +99,8 @@ def gate_H(state: QState, n: int) -> QState:
     The integers become (a+b, a-b), which doubles their norm sum:
     (a+b)^2 + (a-b)^2 = 2(a^2 + b^2), and the cross terms likewise."""
     mask = qubit_mask(state.nqubits, n)
-    norm = state.lane_norm
-    if norm is not None:
-        norm = 2 * norm[0], 2 * norm[1]
-    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two, norm)
+    x, y = state.lane_norm
+    return _on_halves(state, mask, _mix, state.unit / state.backend.sqrt_two, (2 * x, 2 * y))
 
 
 def gate_I(state: QState, n: int) -> QState:
@@ -140,7 +138,7 @@ def measure_split(state: QState, n: int) -> tuple:
     mask = qubit_mask(state.nqubits, n)
     halves = [_split(lane, mask) if any(lane) else None for lane in state.lanes]
     zx, zy = lane_norm_sq(*(h[0] if h else () for h in halves))  # () sums to 0
-    x, y = _lane_norm(state)
+    x, y = state.lane_norm
     if not x:  # x sums squares: 0 only for all-zero lanes
         raise ValueError("cannot measure the zero state")
     sums = (zx, zy), (x - zx, y - zy)
@@ -165,7 +163,7 @@ def gate_M(state: QState, n: int, r) -> QState:
     threshold can never be misjudged.  Terms on the losing side are
     zeroed; the caller is responsible for renormalizing.
     """
-    r = Fraction(r)
+    r = r if type(r) is Fraction else Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("random draw must lie in [0, 1]")
     ((zx, zy), (ox, oy)), collapse = measure_split(state, n)

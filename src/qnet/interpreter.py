@@ -78,7 +78,7 @@ class RandomStream:
     def __init__(self, draws: Iterable):
         checked = []
         for d in draws:
-            d = Fraction(d)
+            d = d if type(d) is Fraction else Fraction(d)
             if not 0 <= d <= 1:
                 raise ValueError("random draws must lie in [0, 1]")
             checked.append(d)

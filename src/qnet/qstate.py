@@ -12,16 +12,16 @@ A state stores four tuples of Python ints, ``lanes = (re.a, re.b, im.a,
 im.b)``, and one backend scalar ``unit``:
 amps[i] = ((re.a[i] + re.b[i]*sqrt(2)) + i*(im.a[i] + im.b[i]*sqrt(2))) * unit.
 Gates do integer work only; common factors move from the integers into
-``unit`` lazily (``QState.reduced``), in ``normalize`` only.  A state also
-carries ``lane_norm``, the lanes' squared norms summed as (x, y) for
-x + y*sqrt(2) (``lane_norm_sq``), or None when it is not known; the gates
-carry it, so ``normalize`` takes the root of an integer pair it need not
-sum again.  The CScalar view ``amps`` is computed on each read and not
-stored, each entry as ``backend.from_ints(a, b, 1) * unit``; every scalar in
-it is reduced, a ``QExt`` to its integer triple and a ``Fraction`` by
-itself, so the view does not depend on how far the lanes are reduced.
-On the exact backend ``unit`` is in Q[sqrt(2)]; on the approximate backend
-it is a rational and the sqrt(2) lanes re.b and im.b stay zero.
+``unit`` lazily (``QState.reduced``), in ``normalize`` only.  Every state
+also carries ``lane_norm``, the lanes' squared norms summed as (x, y) for
+x + y*sqrt(2) (``lane_norm_sq``); the gates carry it, so ``normalize`` takes
+the root of an integer pair it need not sum again.  The CScalar view
+``amps`` is computed on each read and not stored, each entry as
+``backend.from_ints(a, b, 1) * unit``; every scalar in it is reduced, a
+``QExt`` to its integer triple and a ``Fraction`` by itself, so the view
+does not depend on how far the lanes are reduced.  On the exact backend
+``unit`` is in Q[sqrt(2)]; on the approximate backend it is a rational and
+the sqrt(2) lanes re.b and im.b stay zero.
 
 States additionally carry ``scale_sq``, an exact squared scale factor:
 the physical amplitude at index i is amps[i] / sqrt(scale_sq).  In the
@@ -102,7 +102,8 @@ class Term:
 
 class QState:
     """Canonical state: ``amps[i]`` is the coefficient of basis index i,
-    a view of ``lanes`` and ``unit`` computed on each read."""
+    a view of ``lanes`` and ``unit`` computed on each read.  Immutable by
+    convention, as ``QExt`` is: no operation changes a state."""
 
     __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend", "lane_norm")
 
@@ -122,18 +123,20 @@ class QState:
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
         rows = dict(enumerate(to_backend(c, backend) for c in amps))
-        _fill(self, nqubits, *_lanes_of_rows(rows, 1 << nqubits, backend), scale_sq, backend, None)
+        self.lanes, self.unit = _lanes_of_rows(rows, 1 << nqubits, backend)
+        self.nqubits, self.scale_sq, self.backend = nqubits, scale_sq, backend
+        self.lane_norm = lane_norm_sq(*self.lanes)
 
     @classmethod
     def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend, lane_norm=None) -> "QState":
         """A state over already-built lanes; no checks, no conversion.
-        ``lane_norm`` must be ``lane_norm_sq(*lanes)`` or None."""
+        ``lane_norm`` must be ``lane_norm_sq(*lanes)``, which is summed here
+        when it is not passed."""
         state = _new_object(cls)
-        _fill(state, nqubits, tuple(lanes), unit, scale_sq, backend, lane_norm)
+        state.nqubits, state.lanes, state.unit = nqubits, tuple(lanes), unit
+        state.scale_sq, state.backend = scale_sq, backend
+        state.lane_norm = lane_norm_sq(*state.lanes) if lane_norm is None else lane_norm
         return state
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QState is immutable")
 
     def with_lanes(self, lanes: Iterable[tuple], unit: Scalar, lane_norm=None) -> "QState":
         """The same width, scale and backend over new lanes and unit."""
@@ -148,9 +151,8 @@ class QState:
         rational part is even, one sqrt(2) does too, because
         (a + b*sqrt(2)) / sqrt(2) = b + (a/2)*sqrt(2).  After the gcd step
         some part is odd, so one sqrt(2) step is all there can be (and on
-        the approximate backend, whose sqrt(2) lanes are zero, none).  A
-        carried ``lane_norm`` is divided by g^2, and by 2 at the sqrt(2)
-        step.
+        the approximate backend, whose sqrt(2) lanes are zero, none).
+        ``lane_norm`` is divided by g^2, and by 2 at the sqrt(2) step.
         """
         lanes, unit, norm = self.lanes, self.unit, self.lane_norm
         g = math.gcd(*lanes[0], *lanes[1], *lanes[2], *lanes[3])
@@ -159,16 +161,14 @@ class QState:
         if g > 1:
             lanes = tuple(tuple(x // g for x in lane) for lane in lanes)
             unit = unit * g
-            if norm is not None:
-                g_sq = g * g
-                norm = norm[0] // g_sq, norm[1] // g_sq
+            g_sq = g * g
+            norm = norm[0] // g_sq, norm[1] // g_sq
         re_a, re_b, im_a, im_b = lanes
         if not any(x & 1 for x in re_a) and not any(x & 1 for x in im_a):
             half_re_a = tuple(x >> 1 for x in re_a)
             lanes = (re_b, half_re_a, im_b, tuple(x >> 1 for x in im_a))
             unit = unit * self.backend.sqrt_two
-            if norm is not None:
-                norm = norm[0] >> 1, norm[1] >> 1
+            norm = norm[0] >> 1, norm[1] >> 1
         if lanes is self.lanes:
             return self
         return self.with_lanes(lanes, unit, norm)
@@ -200,11 +200,8 @@ class QState:
         (scale_sq != 1) signals NotRepresentableError: its raw
         coefficients are not amplitudes.
 
-        Decided on the lanes by integer cross-multiplication, as in
-        ``narrow_to_qubit``: with units (p + q*sqrt(2)) / s and
-        (r + t*sqrt(2)) / u, entry z of this state equals entry w of the
-        other iff z * (p + q*sqrt(2)) * u == w * (r + t*sqrt(2)) * s, part
-        by part in Z[sqrt(2)].
+        Decided on the lanes, by ``_differences``: equal iff no
+        difference is nonzero.
         """
         if not isinstance(other, QState):
             return NotImplemented
@@ -215,15 +212,7 @@ class QState:
             raise NotRepresentableError(
                 "state equality is defined only for scale_sq = 1"
             )
-        p, q, s = int_parts(self.unit)
-        r, t, u = int_parts(other.unit)
-        p, q, r, t = p * u, q * u, r * s, t * s
-        mine, theirs = self.lanes, other.lanes
-        return all(
-            xa * p + 2 * xb * q == ya * r + 2 * yb * t and xa * q + xb * p == ya * t + yb * r
-            for i in (0, 2)
-            for xa, xb, ya, yb in zip(mine[i], mine[i + 1], theirs[i], theirs[i + 1])
-        )
+        return not any(map(any, _differences(self, other)[1]))
 
     def __repr__(self) -> str:
         nonzero = [
@@ -235,19 +224,37 @@ class QState:
 
 
 _new_object = object.__new__
-_set_nqubits, _set_lanes, _set_unit, _set_scale_sq, _set_backend, _set_lane_norm = (
-    getattr(QState, name).__set__ for name in QState.__slots__
-)
 
 
-def _fill(state, nqubits, lanes, unit, scale_sq, backend, lane_norm) -> None:
-    """Set every slot of a new state, past ``__setattr__``."""
-    _set_nqubits(state, nqubits)
-    _set_lanes(state, lanes)
-    _set_unit(state, unit)
-    _set_scale_sq(state, scale_sq)
-    _set_backend(state, backend)
-    _set_lane_norm(state, lane_norm)
+def _differences(a: QState, b: QState) -> tuple[int, Iterable[tuple[int, int]]]:
+    """(s*u, diffs): with units (p + q*sqrt(2)) / s and (r + t*sqrt(2)) / u,
+    each real and imaginary part of a's entries minus b's is
+    (x + y*sqrt(2)) / (s*u), and ``diffs`` yields those (x, y) lazily, by
+    x + y*sqrt(2) = z * (p + q*sqrt(2)) * u - w * (r + t*sqrt(2)) * s for
+    parts z of a and w of b."""
+    p, q, s = int_parts(a.unit)
+    r, t, u = int_parts(b.unit)
+    p, q, r, t = p * u, q * u, r * s, t * s
+    mine, theirs = a.lanes, b.lanes
+    return s * u, (
+        (xa * p + 2 * xb * q - ya * r - 2 * yb * t, xa * q + xb * p - ya * t - yb * r)
+        for i in (0, 2)
+        for xa, xb, ya, yb in zip(mine[i], mine[i + 1], theirs[i], theirs[i + 1])
+    )
+
+
+def max_component_gap(a: QState, b: QState) -> Fraction:
+    """Largest difference between matching real or imaginary parts.
+
+    Defined on the approximate backend only, where every part is a
+    rational: a difference in Q[sqrt(2)] has no ``abs`` (``QExt`` defines
+    none), so exact states raise TypeError.  The largest |x| of
+    ``_differences`` (whose y are 0 there) over s*u, made one Fraction.
+    """
+    if not (isinstance(a.backend, ApproxBackend) and isinstance(b.backend, ApproxBackend)):
+        raise TypeError("max_component_gap compares approximate-backend states only")
+    den, diffs = _differences(a, b)
+    return Fraction(max(abs(x) for x, _ in diffs), den)
 
 
 def _lanes_of_rows(rows: dict, size: int, backend: Backend) -> tuple[tuple, Scalar]:
@@ -305,34 +312,27 @@ def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT
     return QState(nqubits, amps, backend.one, backend)
 
 
-def _lane_norm(state: QState) -> tuple[int, int]:
-    """The state's ``lane_norm``: the carried pair, or summed when unknown."""
-    norm = state.lane_norm
-    return lane_norm_sq(*state.lanes) if norm is None else norm
-
-
 def norm_sq(state: QState) -> Scalar:
     """Sum of squared coefficient norms (independent of scale_sq)."""
     unit = state.unit
-    return state.backend.from_ints(*_lane_norm(state), 1) * unit * unit
+    return state.backend.from_ints(*state.lane_norm, 1) * unit * unit
 
 
 def normalize(state: QState) -> QState:
     """Scale a nonzero state to norm 1.
 
     The lanes are reduced first.  Their squared norm is unit^2 * N for
-    N = x + y*sqrt(2), the integer pair ``lane_norm`` (carried, or summed
-    here when unknown), so the normalized unit is unit / sqrt(unit^2 * N),
-    which ``backend.unit_for_norm`` gives: on the exact backend
-    sign(unit) / sqrt(N), from an integer root of N in Z[sqrt(2)]; on the
-    approximate one, ``iter_sqrt`` of the whole squared norm.  On success
-    scale_sq resets to 1 (fully normalized).  Where N has no root in
-    Z[sqrt(2)], and so unit^2 * N none in Q[sqrt(2)], the squared norm
-    becomes the new scale_sq, deferred, and the lanes and unit stay as they
-    are.
+    N = x + y*sqrt(2), the integer pair ``lane_norm``, so the normalized unit is
+    unit / sqrt(unit^2 * N), which ``backend.unit_for_norm`` gives: on the
+    exact backend sign(unit) / sqrt(N), from an integer root of N in
+    Z[sqrt(2)]; on the approximate one, ``iter_sqrt`` of the whole squared
+    norm.  On success scale_sq resets to 1 (fully normalized).  Where N has
+    no root in Z[sqrt(2)], and so unit^2 * N none in Q[sqrt(2)], the squared
+    norm becomes the new scale_sq, deferred, and the lanes and unit stay as
+    they are.
     """
     state = state.reduced()
-    x, y = norm = _lane_norm(state)
+    x, y = norm = state.lane_norm
     backend, unit = state.backend, state.unit
     if not x or not unit:  # x sums squares: 0 only for all-zero lanes
         raise ValueError("cannot normalize the zero state")
@@ -347,15 +347,19 @@ def tensor_product(a: QState, b: QState) -> QState:
     """Combined state with a's qubits at the lower indices (leftmost bits).
 
     Coefficient (i, j) is the product of a's i-th and b's j-th, taken on the
-    integer lanes in Z[sqrt(2)][i], with unit a.unit * b.unit.
+    integer lanes in Z[sqrt(2)][i], with unit a.unit * b.unit.  Its
+    ``lane_norm`` is the product of the factors', as |zw|^2 = |z|^2 |w|^2:
+    (x + y*sqrt(2)) * (z + w*sqrt(2)) = (xz + 2yw) + (xw + yz)*sqrt(2).
     """
     if a.backend != b.backend:
         raise ValueError("cannot tensor states from different backends")
     nqubits = a.nqubits + b.nqubits
     _check_width(nqubits)
     ints = [_lane_product(x, y) for x in zip(*a.lanes) for y in zip(*b.lanes)]
+    (x, y), (z, w) = a.lane_norm, b.lane_norm
     return QState.from_lanes(
-        nqubits, zip(*ints), a.unit * b.unit, a.scale_sq * b.scale_sq, a.backend
+        nqubits, zip(*ints), a.unit * b.unit, a.scale_sq * b.scale_sq, a.backend,
+        (x * z + 2 * y * w, x * w + y * z),
     )
 
 
@@ -523,9 +527,9 @@ def physical_amplitudes(
     k >= 0 that puts 4^k * scale_sq at 1 or above: approximating coeff to
     fine = guard / 2^k is approximating 2^k * coeff to guard.  k and the
     root depend only on (scale_sq, digits); a caller that renders many
-    states passes one dict as ``roots``, which keeps them by that pair, so
-    the steps of a trace, which unitary gates leave at one scale_sq, take
-    the root once.
+    states passes one dict as ``roots``, which keeps them by that pair, with
+    scale_sq as its integer triple, so the steps of a trace, which unitary
+    gates leave at one scale_sq, take the root once.
 
     A part's sqrt(2) is ``iter_sqrt(2, fine / max(1, |b|))``.  It depends
     on the tolerance only through m, the least m >= 0 with
@@ -539,7 +543,7 @@ def physical_amplitudes(
     inv_tol = 10 ** (digits + 2)
     if roots is None:
         roots = {}
-    key = (state.scale_sq, digits)
+    key = (int_parts(state.scale_sq), digits)
     if key not in roots:
         roots[key] = _deferred_root(state.scale_sq, inv_tol, state.backend)
     k, root = roots[key]

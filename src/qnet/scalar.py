@@ -254,7 +254,8 @@ Scalar = Union[QExt, Fraction]
 
 
 class CScalar:
-    """Complex number whose real and imaginary parts are backend scalars."""
+    """Complex number whose real and imaginary parts are backend scalars;
+    immutable by convention, as ``QExt`` is."""
 
     __slots__ = ("re", "im")
 
@@ -265,14 +266,10 @@ class CScalar:
             if not isinstance(im, QExt):
                 im = QExt(im)
         else:
-            re = Fraction(re)
+            re = re if type(re) is Fraction else Fraction(re)
             if not isinstance(im, Fraction):
                 im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CScalar is immutable")
+        self.re, self.im = re, im
 
     def __repr__(self) -> str:
         return f"CScalar({self.re!r}, {self.im!r})"

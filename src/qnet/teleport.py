@@ -17,6 +17,7 @@ from .qstate import (
     QState,
     get_deterministic_qubit,
     make_qubit,
+    max_component_gap,
     narrow_to_qubit,
     tensor_product,
     zero_qstate,
@@ -28,7 +29,6 @@ from .scalar import (
     CScalar,
     QExt,
     format_cscalar,
-    int_parts,
     to_backend,
 )
 
@@ -168,7 +168,8 @@ def _expected_alice_state(qubit: QState, m0: bool, m1: bool) -> QState | None:
 
     Branch (0,0) is alpha|000> + beta|001>; branch (0,1) is
     beta|010> + alpha|011>.  The m0 = 1 branches are checked at the
-    protocol level only.
+    protocol level only.  Its entries are the qubit's, permuted, so it
+    carries the qubit's ``lane_norm``.
     """
     if m0:
         return None
@@ -176,29 +177,9 @@ def _expected_alice_state(qubit: QState, m0: bool, m1: bool) -> QState | None:
         lanes = ((0, 0, beta, alpha, 0, 0, 0, 0) for alpha, beta in qubit.lanes)
     else:
         lanes = ((alpha, beta, 0, 0, 0, 0, 0, 0) for alpha, beta in qubit.lanes)
-    return QState.from_lanes(3, lanes, qubit.unit, qubit.scale_sq, qubit.backend)
-
-
-def max_component_gap(a: QState, b: QState) -> Fraction:
-    """Largest difference between matching real or imaginary parts.
-
-    Defined on the approximate backend only, where every part is a
-    rational: a difference in Q[sqrt(2)] has no ``abs`` (``QExt`` defines
-    none), so exact states raise TypeError.  Computed per entry from the
-    lanes: with units p / s and r / u, parts x and y differ by
-    |x*p*u - y*r*s| / (s*u), and only the largest is made a Fraction.
-    """
-    if not (isinstance(a.backend, ApproxBackend) and isinstance(b.backend, ApproxBackend)):
-        raise TypeError("max_component_gap compares approximate-backend states only")
-    p, _, s = int_parts(a.unit)
-    r, _, u = int_parts(b.unit)
-    p, r = p * u, r * s
-    gap = max(
-        abs(x * p - y * r)
-        for i in (0, 2)
-        for x, y in zip(a.lanes[i], b.lanes[i])
+    return QState.from_lanes(
+        3, lanes, qubit.unit, qubit.scale_sq, qubit.backend, qubit.lane_norm
     )
-    return Fraction(gap, s * u)
 
 
 def verify_teleportation(

@@ -23,7 +23,8 @@ Each fast path is checked against the slower rule it replaces:
 - `normalize` and `narrow_to_qubit`, which take an integer root of the
   lanes' norm sum in Z[sqrt(2)], against the root of the whole squared
   norm by `field_sqrt`, on negative units and units with a sqrt(2)
-  part; and the ``lane_norm`` that the gates carry against the lane sum.
+  part; and the ``lane_norm`` that every state carries against the lane
+  sum.
 
 - `measure_split`, which splits only the lanes that are not all zero and
   sums only the |0> half, against the split of all four lanes with both
@@ -83,6 +84,8 @@ from qnet.qstate import (
     Term,
     _cscalars,
     _lane_product,
+    basis_label,
+    index_to_bits,
     lane_norm_sq,
     physical_amplitudes,
 )
@@ -763,6 +766,48 @@ def test_carried_lane_norm_equals_the_lane_sum(name, seed, nqubits, ngates, star
             assert_norm_carried(state)
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 3))
+def test_every_state_carries_its_lane_sum(name, seed, nqubits):
+    # every way of making a state, from exact inputs with sqrt(2) parts,
+    # leaves lane_norm == lane_norm_sq(*lanes); none leaves it unknown
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    exact = rand_state(rng, nqubits)
+    amps = [to_backend(c, backend) for c in exact.amps]
+    terms = [Term(c, index_to_bits(i, nqubits)) for i, c in enumerate(exact.amps)]
+    text = "".join(
+        f"{format_cscalar(c)} | {basis_label(i, nqubits)}\n" for i, c in enumerate(exact.amps)
+    )
+    alpha, beta = rand_unit_pair(rng)
+    qubit = make_qubit(alpha, beta, backend)
+    lanes = random_lanes(rng, nqubits, backend)
+    unit = random_unit(rng, backend)
+    made = [
+        QState(nqubits, amps, backend.one, backend),
+        qubit,
+        sort_and_merge(terms + terms[:1], nqubits, backend),
+        parse_state(text, backend),
+        zero_qstate(nqubits, backend),
+        QState.from_lanes(nqubits, lanes, unit, backend.one, backend),
+        QState.from_lanes(nqubits, lanes, unit, backend.one, backend, lane_norm_sq(*lanes)),
+    ]
+    state = made[0]
+    made += [tensor_product(state, qubit), tensor_product(qubit, state)]
+    made.append(narrow_to_qubit(tensor_product(qubit, zero_qstate(nqubits, backend)), 0))
+    n = rng.randrange(nqubits)
+    made += [gate(state, n) for gate in (gate_X, gate_Z, gate_H, gate_I)]
+    if nqubits > 1:
+        made.append(gate_CN(state, n, (n + 1) % nqubits))
+    made.append(gate_M(state, n, rand_draws(rng, 1)[0]))
+    made += [measure_split(state, n)[1](outcome) for outcome in (0, 1)]
+    made += [normalize(x) for x in made if any(map(any, x.lanes))]
+    made += [x.reduced() for x in made]
+    for x in made:
+        assert_norm_carried(x)
+
+
 def qext_path_normalize(state):
     """normalize by the squared norm as one backend scalar and its root by
     `field_sqrt`, as qnet took it before the integer root: (lanes,
@@ -834,7 +879,8 @@ def norm_input_lanes(rng, nqubits, backend, kind):
 
 def norm_input(rng, nqubits, backend, kind):
     """A state over `norm_input_lanes` and a random unit, negative or with a
-    sqrt(2) part; its scale_sq is 1 or deferred, its lane_norm carried or not."""
+    sqrt(2) part; its scale_sq is 1 or deferred, its lane_norm passed to
+    ``from_lanes`` or summed there."""
     lanes = norm_input_lanes(rng, nqubits, backend, kind)
     scale_sq = backend.one
     if rng.random() < 0.3:
@@ -955,7 +1001,8 @@ def full_split(state, n):
 def split_input(rng, nqubits, backend, nonzero):
     """A state whose lanes `nonzero` hold integers, at least one of them
     not zero, and whose other lanes are all zero (all four for the zero
-    state); a random unit, scale_sq 1 or deferred, lane_norm carried or None."""
+    state); a random unit, scale_sq 1 or deferred, lane_norm passed to
+    ``from_lanes`` or summed there."""
     size = 1 << nqubits
     lanes = [[0] * size for _ in range(4)]
     for k in nonzero:
@@ -972,8 +1019,8 @@ def split_input(rng, nqubits, backend, nonzero):
 
 def certain_input(rng, state, n, outcome):
     """`state` with qubit n's other half zeroed, so that `outcome` has
-    probability 1; its kept half keeps a nonzero entry, and a carried
-    lane_norm is summed afresh."""
+    probability 1; its kept half keeps a nonzero entry, and its lane_norm is
+    summed afresh."""
     mask = 1 << (state.nqubits - 1 - n)
     kept = [i for i in range(1 << state.nqubits) if bool(i & mask) == bool(outcome)]
     lanes = [[x if i in kept else 0 for i, x in enumerate(lane)] for lane in state.lanes]
@@ -981,8 +1028,7 @@ def certain_input(rng, state, n, outcome):
     if not any(map(any, lanes)):
         lanes[k][rng.choice(kept)] = rng.choice((1, -1)) * rng.randint(1, 10**6)
     lanes = tuple(map(tuple, lanes))
-    norm = None if state.lane_norm is None else lane_norm_sq(*lanes)
-    return state.with_lanes(lanes, state.unit, norm)
+    return state.with_lanes(lanes, state.unit, lane_norm_sq(*lanes))
 
 
 def nonzero_lane_sets(backend):
