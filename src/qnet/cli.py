@@ -123,7 +123,7 @@ def _random_stream(args) -> RandomStream:
 class RenderCache:
     """What the states of one command share when rendered: the deferred
     roots of ``physical_amplitudes``, the basis labels of each width, and
-    the text of each lane entry under one (emit, digits, unit, scale_sq,
+    the text of each integer entry under one (emit, digits, unit, scale_sq,
     backend) key at a time; a new key replaces the texts."""
 
     def __init__(self):
@@ -136,24 +136,25 @@ class RenderCache:
 def render_state(
     state: QState, emit: str, digits: int, sparse: bool, cache: RenderCache | None = None
 ) -> list[str]:
-    """The output lines of one state; only lane entries that ``cache``
-    holds no text for are formatted."""
+    """The output lines of one state; only the entries that ``cache``
+    holds no text for are formatted, under the state's unit, scale_sq and
+    backend."""
     if cache is None:
         cache = RenderCache()
     key = (emit, digits, state.unit, state.scale_sq, state.backend)
     if key != cache.key:
         cache.key, cache.texts = key, {}
     texts = cache.texts
-    entries = list(zip(*state.lanes))
+    entries = state.entries()
     missing = [entry for entry in dict.fromkeys(entries) if entry not in texts]
     if missing:
-        part = state.with_lanes(zip(*missing), state.unit)  # their width is not checked
         if emit == "exact":
-            texts.update(zip(missing, exact_texts(part)))
+            texts.update(zip(missing, exact_texts(state, missing)))
         else:
+            amplitudes = physical_amplitudes(state, missing, digits, cache.roots)
             texts.update(
                 (entry, f"({format_scaled(re, digits)}, {format_scaled(im, digits)})")
-                for entry, (re, im) in zip(missing, physical_amplitudes(part, digits, cache.roots))
+                for entry, (re, im) in zip(missing, amplitudes)
             )
     n = state.nqubits
     if n not in cache.labels:
@@ -305,11 +306,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except NotRepresentableError as exc:
-        print(
-            f"qnet: error: {exc}\n"
-            "qnet: hint: try --backend approx or --emit decimal",
-            file=sys.stderr,
-        )
+        print(f"qnet: error: {exc}", file=sys.stderr)
+        if args.func is cmd_run:  # only run and trace have an --emit to change
+            approx = "" if args.backend == "approx" else "--backend approx or "
+            print(f"qnet: hint: try {approx}--emit decimal", file=sys.stderr)
         return EXIT_NOT_REPRESENTABLE
     except RandomStreamExhausted as exc:
         print(f"qnet: error: {exc}", file=sys.stderr)

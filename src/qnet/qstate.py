@@ -15,7 +15,12 @@ Gates do integer work only; common factors move from the integers into
 ``unit`` lazily (``QState.reduced``), in ``normalize`` only.  Every state
 also carries ``lane_norm``, the lanes' squared norms summed as (x, y) for
 x + y*sqrt(2) (``lane_norm_sq``); the gates carry it, so ``normalize`` takes
-the root of an integer pair it need not sum again.  The CScalar view
+the root of an integer pair it need not sum again.  Only this module and
+the gates know the lanes: the kernels build states over new lanes by
+``QState.from_lanes``, with the norm they carry, and every other state is
+built from integer entries (re.a, re.b, im.a, im.b) by
+``QState.from_entries``, which sums the norm, and read by
+``QState.entries()``.  The CScalar view
 ``amps`` is computed on each read and not stored, each entry as
 ``backend.from_ints(a, b, 1) * unit``; every scalar in it is reduced, a
 ``QExt`` to its integer triple and a ``Fraction`` by itself, so the view
@@ -115,30 +120,41 @@ class QState:
         backend: Backend = EXACT,
     ):
         _check_width(nqubits)
-        amps = tuple(amps)
+        amps = tuple(to_backend(c, backend) for c in amps)
         if len(amps) != 1 << nqubits:
             raise ValueError("canonical state needs one coefficient per basis vector")
         if type(scale_sq) is not type(backend.one):
             scale_sq = backend.from_ints(*int_parts(scale_sq))
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
-        rows = dict(enumerate(to_backend(c, backend) for c in amps))
-        self.lanes, self.unit = _lanes_of_rows(rows, 1 << nqubits, backend)
+        entries, self.unit = _entries_of_rows(enumerate(amps), backend)
+        self.lanes = tuple(zip(*entries.values()))
         self.nqubits, self.scale_sq, self.backend = nqubits, scale_sq, backend
         self.lane_norm = lane_norm_sq(*self.lanes)
 
     @classmethod
-    def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend, lane_norm=None) -> "QState":
-        """A state over already-built lanes; no checks, no conversion.
-        ``lane_norm`` must be ``lane_norm_sq(*lanes)``, which is summed here
-        when it is not passed."""
+    def from_entries(cls, nqubits, entries: dict, unit, scale_sq, backend) -> "QState":
+        """The state whose coefficient at basis index i is entries[i], an
+        integer ``(re.a, re.b, im.a, im.b)``, times ``unit``, and zero at
+        every index not given.  ``lane_norm`` is summed here, over the given
+        entries (after a zero one, so that an empty dict gives four lanes);
+        equal lanes, such as the all-zero ones, are kept as one tuple."""
+        lanes = tuple(zip(*(entries.get(i, (0, 0, 0, 0)) for i in range(1 << nqubits))))
+        norm = lane_norm_sq(*zip((0, 0, 0, 0), *entries.values()))
+        shared = map({}.setdefault, lanes, lanes)
+        return cls.from_lanes(nqubits, shared, unit, scale_sq, backend, norm)
+
+    @classmethod
+    def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend, lane_norm) -> "QState":
+        """A state over already-built lanes; no checks, no conversion.  For
+        the kernels, which carry ``lane_norm``: it must equal
+        ``lane_norm_sq(*lanes)``."""
         state = _new_object(cls)
         state.nqubits, state.lanes, state.unit = nqubits, tuple(lanes), unit
-        state.scale_sq, state.backend = scale_sq, backend
-        state.lane_norm = lane_norm_sq(*state.lanes) if lane_norm is None else lane_norm
+        state.scale_sq, state.backend, state.lane_norm = scale_sq, backend, lane_norm
         return state
 
-    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar, lane_norm=None) -> "QState":
+    def with_lanes(self, lanes: Iterable[tuple], unit: Scalar, lane_norm) -> "QState":
         """The same width, scale and backend over new lanes and unit."""
         return QState.from_lanes(
             self.nqubits, lanes, unit, self.scale_sq, self.backend, lane_norm
@@ -177,7 +193,7 @@ class QState:
     def amps(self) -> tuple[CScalar, ...]:
         """The coefficients as CScalars, in basis-index order; one pass over
         the lanes per read, so keep the tuple to index it often."""
-        return _cscalars(self.lanes, self.unit, self.backend)
+        return _cscalars(zip(*self.lanes), self.unit, self.backend)
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -187,11 +203,15 @@ class QState:
         )
 
     def coeff(self, index: int) -> CScalar:
-        lanes = tuple((lane[index],) for lane in self.lanes)
-        return _cscalars(lanes, self.unit, self.backend)[0]
+        return _cscalars([tuple(lane[index] for lane in self.lanes)], self.unit, self.backend)[0]
 
     def coeffs(self) -> list[CScalar]:
         return list(self.amps)
+
+    def entries(self) -> list[tuple[int, int, int, int]]:
+        """Every coefficient's integer ``(re.a, re.b, im.a, im.b)``, to be
+        taken times ``unit``, in basis-index order."""
+        return list(zip(*self.lanes))
 
     def __eq__(self, other) -> bool:
         """Exact coefficient-wise equality of fully normalized states.
@@ -257,26 +277,26 @@ def max_component_gap(a: QState, b: QState) -> Fraction:
     return Fraction(max(abs(x) for x, _ in diffs), den)
 
 
-def _lanes_of_rows(rows: dict, size: int, backend: Backend) -> tuple[tuple, Scalar]:
-    """Four integer lanes of ``size`` entries over one common denominator,
-    and their unit 1/den: entry i is the CScalar rows[i] in the backend's
-    field, read by ``int_parts``, and an index not in ``rows`` is zero."""
-    entries = [(i, int_parts(z.re), int_parts(z.im)) for i, z in rows.items()]
-    den = math.lcm(*(x[2] for _, re, im in entries for x in (re, im)))
-    re_a, re_b, im_a, im_b = lanes = [[0] * size for _ in range(4)]
-    for i, (p, q, d), (r, s, e) in entries:
-        re_a[i], re_b[i] = p * (den // d), q * (den // d)
-        im_a[i], im_b[i] = r * (den // e), s * (den // e)
-    return tuple(map(tuple, lanes)), backend.from_ints(1, 0, den)
+def _entries_of_rows(rows: Iterable[tuple[int, CScalar]], backend: Backend) -> tuple[dict, Scalar]:
+    """Integer entries over one common denominator, and their unit 1/den:
+    entry i is the CScalar of row (i, z), in the backend's field, read by
+    ``int_parts``."""
+    parts = {i: (*int_parts(z.re), *int_parts(z.im)) for i, z in rows}
+    den = math.lcm(*(x for p in parts.values() for x in (p[2], p[5])))
+    entries = {
+        i: (p * (den // d), q * (den // d), r * (den // e), s * (den // e))
+        for i, (p, q, d, r, s, e) in parts.items()
+    }
+    return entries, backend.from_ints(1, 0, den)
 
 
-def _cscalars(lanes: tuple, unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
-    """The CScalar value of every coefficient z * unit."""
+def _cscalars(entries: Iterable[tuple], unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
+    """The CScalar value of every integer entry z, times unit."""
     part = backend.from_ints
     zero = CScalar(backend.zero, backend.zero)
     return tuple(
         CScalar(part(ra, rb, 1) * unit, part(ia, ib, 1) * unit) if ra or rb or ia or ib else zero
-        for ra, rb, ia, ib in zip(*lanes)
+        for ra, rb, ia, ib in entries
     )
 
 
@@ -300,16 +320,17 @@ def sort_and_merge(terms: Iterable[Term], nqubits: int, backend: Backend = EXACT
     order; scale_sq starts at 1.
     """
     _check_width(nqubits)
-    zero = CScalar(backend.zero, backend.zero)
-    amps = [zero] * (1 << nqubits)
+    rows: dict[int, CScalar] = {}
     for term in terms:
         if len(term.bits) != nqubits:
             raise ParseError(
                 f"term has {len(term.bits)} bits, expected {nqubits}"
             )
         index = bits_to_index(term.bits)
-        amps[index] = amps[index] + term.coeff
-    return QState(nqubits, amps, backend.one, backend)
+        rows[index] = rows[index] + term.coeff if index in rows else term.coeff
+    # summed in the terms' own field, then made backend scalars
+    entries, unit = _entries_of_rows(((i, to_backend(z, backend)) for i, z in rows.items()), backend)
+    return QState.from_entries(nqubits, entries, unit, backend.one, backend)
 
 
 def norm_sq(state: QState) -> Scalar:
@@ -386,9 +407,7 @@ def make_qubit(alpha: CScalar, beta: CScalar, backend: Backend = EXACT) -> QStat
 def zero_qstate(nqubits: int, backend: Backend = EXACT) -> QState:
     """n-qubit state |0...0>."""
     _check_width(nqubits)
-    zeros = (0,) * (1 << nqubits)
-    lanes = ((1,) + zeros[1:], zeros, zeros, zeros)
-    return QState.from_lanes(nqubits, lanes, backend.one, backend.one, backend, (1, 0))
+    return QState.from_entries(nqubits, {0: (1, 0, 0, 0)}, backend.one, backend.one, backend)
 
 
 def get_deterministic_qubit(state: QState, n: int) -> bool:
@@ -481,33 +500,36 @@ def parse_state(text: str, backend: Backend = EXACT) -> QState:
         rows[index] = rows[index] + z if index in rows else z
     if nqubits is None:
         raise ParseError("state file contains no terms")
-    lanes, unit = _lanes_of_rows(rows, 1 << nqubits, backend)
-    return QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
+    entries, unit = _entries_of_rows(rows.items(), backend)
+    return QState.from_entries(nqubits, entries, unit, backend.one, backend)
 
 
 def format_state(state: QState, sparse: bool = False) -> list[str]:
     """Render a state in the exact state-file grammar, one term per line;
     fails as ``exact_texts`` does."""
+    entries = state.entries()
     return [
         f"{text} | {basis_label(i, state.nqubits)}"
-        for i, (text, entry) in enumerate(zip(exact_texts(state), zip(*state.lanes)))
+        for i, (text, entry) in enumerate(zip(exact_texts(state, entries), entries))
         if any(entry) or not sparse
     ]
 
 
-def exact_texts(state: QState) -> list[str]:
-    """``format_cscalar`` of every coefficient, in basis-index order.
+def exact_texts(state: QState, entries: Iterable[tuple]) -> list[str]:
+    """``format_cscalar`` of each integer entry, as ``entries()`` gives
+    them, taken under the state's unit and backend; the entries need not
+    be the state's own.
 
-    Fails when normalization is deferred: the physical amplitudes would
-    need a square root outside the scalar field, and when an amplitude has
-    more digits than Python will convert from int to text.
+    Fails when the state's normalization is deferred: the physical
+    amplitudes would need a square root outside the scalar field, and when
+    an amplitude has more digits than Python will convert from int to text.
     """
     if state.scale_sq != state.backend.one:
         raise NotRepresentableError(
             "amplitudes have a deferred scale and no exact rendering"
         )
     try:
-        return [format_cscalar(c) for c in state.amps]
+        return [format_cscalar(c) for c in _cscalars(entries, state.unit, state.backend)]
     except ValueError:  # str(int) past sys.get_int_max_str_digits()
         raise NotRepresentableError(
             f"an exact amplitude has more than {sys.get_int_max_str_digits()}"
@@ -516,10 +538,11 @@ def exact_texts(state: QState) -> list[str]:
 
 
 def physical_amplitudes(
-    state: QState, digits: int, roots: dict | None = None
+    state: QState, entries: Iterable[tuple], digits: int, roots: dict | None = None
 ) -> list[tuple[int, int]]:
-    """Per-basis-vector (re, im) of coeff / sqrt(scale_sq) times 10^digits,
-    rounded half to even, computed in integers from the lanes.
+    """Per integer entry (as ``exact_texts`` takes them), the (re, im) of
+    entry * unit / sqrt(scale_sq) times 10^digits under the state's unit,
+    scale_sq and backend, rounded half to even, computed in integers.
 
     Every part a + b*sqrt(2) and the root are approximated to one absolute
     guard, 10^-(digits+2) / 8, which a small root would magnify, so the
@@ -574,7 +597,7 @@ def physical_amplitudes(
         rest *= 2
         return quotient + (rest > d or (rest == d and quotient & 1))
 
-    return [(fixed(ra, rb), fixed(ia, ib)) for ra, rb, ia, ib in zip(*state.lanes)]
+    return [(fixed(ra, rb), fixed(ia, ib)) for ra, rb, ia, ib in entries]
 
 
 def _deferred_root(scale_sq: Scalar, inv_tol: int, backend: Backend) -> tuple[int, Fraction]:

@@ -164,22 +164,17 @@ class TeleportReport:
 
 def _expected_alice_state(qubit: QState, m0: bool, m1: bool) -> QState | None:
     """Closed-form expectation for Alice's post-state, where one exists,
-    over the payload qubit alpha|0> + beta|1>'s lanes and unit.
+    over the payload qubit alpha|0> + beta|1>'s entries and unit.
 
     Branch (0,0) is alpha|000> + beta|001>; branch (0,1) is
     beta|010> + alpha|011>.  The m0 = 1 branches are checked at the
-    protocol level only.  Its entries are the qubit's, permuted, so it
-    carries the qubit's ``lane_norm``.
+    protocol level only.
     """
     if m0:
         return None
-    if m1:
-        lanes = ((0, 0, beta, alpha, 0, 0, 0, 0) for alpha, beta in qubit.lanes)
-    else:
-        lanes = ((alpha, beta, 0, 0, 0, 0, 0, 0) for alpha, beta in qubit.lanes)
-    return QState.from_lanes(
-        3, lanes, qubit.unit, qubit.scale_sq, qubit.backend, qubit.lane_norm
-    )
+    alpha, beta = qubit.entries()
+    entries = {2: beta, 3: alpha} if m1 else {0: alpha, 1: beta}
+    return QState.from_entries(3, entries, qubit.unit, qubit.scale_sq, qubit.backend)
 
 
 def verify_teleportation(

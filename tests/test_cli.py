@@ -356,10 +356,46 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert f"more than {sys.get_int_max_str_digits()} digits" in err
-        assert "--backend approx or --emit decimal" in err
+        assert err.endswith("\nqnet: hint: try --emit decimal\n")  # approx is set already
         code, out, _ = run_cli(capsys, *argv, "--emit", "decimal", "--digits", "10")
         assert code == 0
         assert out.splitlines()[0] == "(0.7071067812, 0.0000000000) | 00"
+
+    def test_exit_3_hint_on_the_exact_backend_names_both_flags(self, capsys, tmp_path):
+        circuit = tmp_path / "id.qc"
+        circuit.write_text("qubits 2\nI 0\n")
+        state = tmp_path / "three.qs"
+        state.write_text("(1, 0) | 00\n(1, 0) | 01\n(1, 0) | 10\n")
+        code, out, err = run_cli(capsys, "run", "--circuit", str(circuit), "--state", str(state))
+        assert (code, out) == (3, "")
+        assert err == (
+            "qnet: error: amplitudes have a deferred scale and no exact rendering\n"
+            "qnet: hint: try --backend approx or --emit decimal\n"
+        )
+
+    def test_exit_3_hint_on_the_approx_backend_names_emit_only(self, capsys, tmp_path):
+        circuit = tmp_path / "h.qc"
+        circuit.write_text("qubits 2\nH 0\nH 1\nCN 0 1\nH 0\n")
+        code, out, err = run_cli(
+            capsys,
+            "run", "--circuit", str(circuit), "--state", "zero:2",
+            "--backend", "approx", "--eps", "1/1" + "0" * 4200,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("qnet: error: an exact amplitude has more than")
+        assert err.endswith("\nqnet: hint: try --emit decimal\n")
+        assert err.count("qnet: hint:") == 1
+
+    def test_teleport_exit_3_prints_no_hint(self, capsys):
+        # teleport has no --emit, and its backend is approx already
+        code, out, err = run_cli(
+            capsys,
+            "teleport", "--alpha", "(1/2*s2,0)", "--beta", "(1/2*s2,0)",
+            "--r1", "1/4", "--r2", "3/4", "--backend", "approx", "--eps", "1/1" + "0" * 4000,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("qnet: error: an exact amplitude has more than")
+        assert "hint" not in err and err.count("\n") == 1
 
     def test_runtime_error_names_the_step_and_the_gate(self, capsys, tmp_path):
         # the draw 1 selects the |1> branch, which has weight 0 on zero:1
@@ -621,11 +657,12 @@ class TestRenderCache:
         """The lines of one state rendered alone, by the library rules."""
         if emit == "exact":
             return format_state(state, sparse)
-        amplitudes = physical_amplitudes(state, digits)
+        entries = state.entries()
+        amplitudes = physical_amplitudes(state, entries, digits)
         return [
             f"({format_scaled(re, digits)}, {format_scaled(im, digits)})"
             f" | {basis_label(i, state.nqubits)}"
-            for i, (entry, (re, im)) in enumerate(zip(zip(*state.lanes), amplitudes))
+            for i, (entry, (re, im)) in enumerate(zip(entries, amplitudes))
             if any(entry) or not sparse
         ]
 
@@ -662,11 +699,11 @@ class TestRenderCache:
             assert render_state(state, emit, digits, sparse, cache) == want
 
     def test_each_key_part_gets_its_own_text(self):
-        # the same lanes under two units, two scale_sqs and two digit counts
-        lanes = ((1, 0), (0, 1), (0, 0), (0, 0))  # 1 at |0>, sqrt(2) at |1>
+        # the same entries under two units, two scale_sqs and two digit counts
+        entries = {0: (1, 0, 0, 0), 1: (0, 1, 0, 0)}  # 1 at |0>, sqrt(2) at |1>
 
         def state(unit, scale_sq=QExt(1)):
-            return QState.from_lanes(1, lanes, unit, scale_sq, EXACT)
+            return QState.from_entries(1, entries, unit, scale_sq, EXACT)
 
         cache = RenderCache()
         renders = [
@@ -709,6 +746,21 @@ class TestRenderCache:
         printed = {line.split(" | ")[0] for line in out.splitlines() if " | " in line}
         assert len(formatted) == len(printed) == len(set(map(format_cscalar, formatted)))
         assert set(map(format_cscalar, formatted)) == printed
+
+    @pytest.mark.parametrize("emit", ["exact", "decimal"])
+    def test_render_builds_no_state(self, monkeypatch, emit):
+        # the entries a cache lacks are formatted as they are: no state is
+        # built for them, so no lane norm is summed
+        ops = [("H", 0), ("CN", 0, 1), ("X", 1), ("H", 1), ("M", 0), ("Z", 1)]
+        initial = zero_qstate(2)
+        _, events = run_circuit_traced(ops_to_circuit(ops, 2), initial, RandomStream([F(1, 3)]))
+        calls = []
+        real = qstate.lane_norm_sq
+        monkeypatch.setattr(qstate, "lane_norm_sq", lambda *lanes: calls.append(1) or real(*lanes))
+        cache = RenderCache()
+        for state in [initial] + [event.state for event in events]:
+            assert render_state(state, emit, 6, False, cache)
+        assert calls == []
 
 
 class TestTeleport:

@@ -517,11 +517,11 @@ def test_view_of_unreduced_lanes_equals_the_reduced_view(name, seed, nqubits, fa
     sqrt2_factor = factor if backend is EXACT else 0
     lanes = (lane(2 * factor), lane(sqrt2_factor), lane(2 * factor), lane(sqrt2_factor))
     unit = from_rationals(backend, Fraction(rng.randint(1, 99), rng.randint(1, 99)), rng.randint(-9, 9))
-    state = QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
+    state = QState.from_lanes(nqubits, lanes, unit, backend.one, backend, lane_norm_sq(*lanes))
     reduced = state.reduced()
     if any(map(any, lanes)):
         assert reduced.lanes != lanes
-    view, reduced_view = _cscalars(lanes, unit, backend), reduced.amps
+    view, reduced_view = _cscalars(zip(*lanes), unit, backend), reduced.amps
     assert view == reduced_view
     assert [format_cscalar(c) for c in view] == [format_cscalar(c) for c in reduced_view]
 
@@ -617,7 +617,8 @@ def decimal_input(rng, backend, digits, deferred, exponent):
         [x * v + y * u for x, y in zip(im_a, im_b)],
     ]
     unit = state.unit / backend.from_ints(u, v, 1)
-    return QState.from_lanes(nqubits, map(tuple, lanes), unit, scale_sq, backend)
+    lanes = tuple(map(tuple, lanes))
+    return QState.from_lanes(nqubits, lanes, unit, scale_sq, backend, lane_norm_sq(*lanes))
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -631,7 +632,7 @@ def decimal_input(rng, backend, digits, deferred, exponent):
 def test_integer_decimals_match_the_fraction_path(name, seed, digits, deferred, exponent):
     backend = BACKENDS[name]
     state = decimal_input(random.Random(seed), backend, digits, deferred, exponent)
-    assert physical_amplitudes(state, digits) == fraction_path_decimals(state, digits)
+    assert physical_amplitudes(state, state.entries(), digits) == fraction_path_decimals(state, digits)
 
 
 # --- state equality and the approx gap from the lanes -------------------------------
@@ -684,7 +685,7 @@ def test_lane_equality_matches_the_view(name, seed, nqubits, perturb):
     rng = random.Random(seed)
     lanes = random_lanes(rng, nqubits, backend)
     unit = random_unit(rng, backend)
-    a = QState.from_lanes(nqubits, lanes, unit, backend.one, backend)
+    a = QState.from_lanes(nqubits, lanes, unit, backend.one, backend, lane_norm_sq(*lanes))
     wa, wb = rng.choice((1, -1, 2, rng.randint(-50, 50) or 3)), 0
     if backend is EXACT:
         wb = rng.choice((0, 1, rng.randint(-50, 50)))
@@ -692,7 +693,9 @@ def test_lane_equality_matches_the_view(name, seed, nqubits, perturb):
     if perturb:
         lane = rng.choice((0, 1, 2, 3) if backend is EXACT else (0, 2))
         other[lane][rng.randrange(1 << nqubits)] += rng.choice((1, -1))
-    b = QState.from_lanes(nqubits, other, unit / backend.from_ints(wa, wb, 1), backend.one, backend)
+    b = QState.from_lanes(
+        nqubits, other, unit / backend.from_ints(wa, wb, 1), backend.one, backend, lane_norm_sq(*other)
+    )
     assert (a == b) == (a.amps == b.amps) == (not perturb)
     assert (b == a) == (a == b)
 
@@ -705,7 +708,8 @@ def test_lane_gap_matches_the_view(seed, nqubits):
 
     def state():
         lanes = random_lanes(rng, nqubits, backend)
-        return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), backend.one, backend)
+        unit = random_unit(rng, backend)
+        return QState.from_lanes(nqubits, lanes, unit, backend.one, backend, lane_norm_sq(*lanes))
 
     def view_gap(a, b):
         gap = Fraction(0)
@@ -790,8 +794,7 @@ def test_every_state_carries_its_lane_sum(name, seed, nqubits):
         sort_and_merge(terms + terms[:1], nqubits, backend),
         parse_state(text, backend),
         zero_qstate(nqubits, backend),
-        QState.from_lanes(nqubits, lanes, unit, backend.one, backend),
-        QState.from_lanes(nqubits, lanes, unit, backend.one, backend, lane_norm_sq(*lanes)),
+        QState.from_entries(nqubits, dict(enumerate(zip(*lanes))), unit, backend.one, backend),
     ]
     state = made[0]
     made += [tensor_product(state, qubit), tensor_product(qubit, state)]
@@ -880,12 +883,12 @@ def norm_input_lanes(rng, nqubits, backend, kind):
 def norm_input(rng, nqubits, backend, kind):
     """A state over `norm_input_lanes` and a random unit, negative or with a
     sqrt(2) part; its scale_sq is 1 or deferred, its lane_norm passed to
-    ``from_lanes`` or summed there."""
+    ``from_lanes``."""
     lanes = norm_input_lanes(rng, nqubits, backend, kind)
     scale_sq = backend.one
     if rng.random() < 0.3:
         scale_sq = backend.from_ints(rng.randint(1, 99), 0, rng.randint(1, 99))
-    norm = lane_norm_sq(*lanes) if rng.random() < 0.5 else None
+    norm = lane_norm_sq(*lanes)
     return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
 
 
@@ -931,9 +934,7 @@ def test_narrow_matches_the_qext_path(name, seed, left, right, kinds):
     product = factors[0]
     for factor in factors[1:]:
         product = tensor_product(product, factor)
-    state = QState.from_lanes(
-        product.nqubits, product.lanes, random_unit(rng, backend), product.scale_sq, backend
-    )
+    state = product.with_lanes(product.lanes, random_unit(rng, backend), product.lane_norm)
     expected = qext_path_narrow(state, left)
     if isinstance(expected, type):
         with pytest.raises(expected):
@@ -971,7 +972,8 @@ def test_norm_inputs_reach_every_outcome(name):
 
 
 def test_normalize_keeps_the_sign_of_a_negative_unit():
-    state = QState.from_lanes(1, ((1, 1), (0, 0), (0, 0), (0, 0)), QExt(Fraction(-1, 3)), QExt(1), EXACT)
+    entries = {0: (1, 0, 0, 0), 1: (1, 0, 0, 0)}
+    state = QState.from_entries(1, entries, QExt(Fraction(-1, 3)), QExt(1), EXACT)
     out = normalize(state)
     assert [format_cscalar(c) for c in out.amps] == ["(-1/2*s2, 0)"] * 2
     assert format_cscalar(narrow_to_qubit(state, 0).coeff(1)) == "(-1/2*s2, 0)"
@@ -1002,7 +1004,7 @@ def split_input(rng, nqubits, backend, nonzero):
     """A state whose lanes `nonzero` hold integers, at least one of them
     not zero, and whose other lanes are all zero (all four for the zero
     state); a random unit, scale_sq 1 or deferred, lane_norm passed to
-    ``from_lanes`` or summed there."""
+    ``from_lanes``."""
     size = 1 << nqubits
     lanes = [[0] * size for _ in range(4)]
     for k in nonzero:
@@ -1013,7 +1015,7 @@ def split_input(rng, nqubits, backend, nonzero):
     scale_sq = backend.one
     if rng.random() < 0.3:
         scale_sq = backend.from_ints(rng.randint(1, 99), 0, rng.randint(1, 99))
-    norm = lane_norm_sq(*lanes) if rng.random() < 0.5 else None
+    norm = lane_norm_sq(*lanes)
     return QState.from_lanes(nqubits, lanes, random_unit(rng, backend), scale_sq, backend, norm)
 
 
@@ -1206,3 +1208,46 @@ def test_parse_state_rounds_each_approximate_term():
     each = backend.from_ints(0, 5, 2) + backend.from_ints(0, -2, 1)
     assert each != backend.from_ints(0, 1, 2)
     assert state.coeff(0).re == each
+
+
+def test_sort_and_merge_sums_before_it_rounds():
+    # duplicates are summed in the terms' own field and the sum rounded
+    # once, unlike parse_state, which rounds each literal
+    backend = ApproxBackend(Fraction(1, 1000))
+    terms = [
+        Term(CScalar(QExt(0, Fraction(5, 2))), (False,)),
+        Term(CScalar(QExt(0, -2)), (False,)),
+        Term(CScalar(QExt(1)), (True,)),
+    ]
+    merged = sort_and_merge(terms, 1, backend)
+    once = sort_and_merge([Term(CScalar(QExt(0, Fraction(1, 2))), (False,)), terms[2]], 1, backend)
+    assert (merged.lanes, merged.unit, merged.lane_norm) == (once.lanes, once.unit, once.lane_norm)
+    parsed = parse_state("(5/2*s2, 0) | 0\n(-2*s2, 0) | 0\n(1, 0) | 1\n", backend)
+    assert merged.coeff(0).re == backend.from_ints(0, 1, 2) != parsed.coeff(0).re
+
+
+# --- entries in and out ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), nqubits=st.integers(1, 4), deferred=st.booleans())
+def test_from_entries_rebuilds_a_state_from_its_entries(name, seed, nqubits, deferred):
+    backend = BACKENDS[name]
+    rng = random.Random(seed)
+    scale_sq = backend.from_ints(rng.randint(1, 99), 0, rng.randint(1, 99)) if deferred else backend.one
+    lanes = random_lanes(rng, nqubits, backend)
+    state = QState.from_lanes(
+        nqubits, lanes, random_unit(rng, backend), scale_sq, backend, lane_norm_sq(*lanes)
+    )
+    entries = state.entries()
+    assert entries == list(zip(*state.lanes))
+    again = QState.from_entries(nqubits, dict(enumerate(entries)), state.unit, state.scale_sq, backend)
+    assert (again.nqubits, again.lanes, again.unit, again.scale_sq, again.lane_norm) == (
+        state.nqubits, state.lanes, state.unit, state.scale_sq, state.lane_norm
+    )
+    # a sparse dict: every index not given is zero
+    kept = {i: entries[i] for i in rng.sample(range(1 << nqubits), rng.randint(0, 1 << nqubits))}
+    sparse = QState.from_entries(nqubits, kept, state.unit, state.scale_sq, backend)
+    assert sparse.entries() == [kept.get(i, (0, 0, 0, 0)) for i in range(1 << nqubits)]
+    assert sparse.lane_norm == lane_norm_sq(*sparse.lanes)

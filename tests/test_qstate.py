@@ -427,7 +427,8 @@ class TestPhysicalAmplitudes:
     unit in the last place is 1e-7."""
 
     def test_bell(self):
-        amps = physical_amplitudes(bell_state(), 7)
+        state = bell_state()
+        amps = physical_amplitudes(state, state.entries(), 7)
         assert abs(amps[0][0] / 10**7 - 0.5**0.5) < 1e-7
         assert amps[1] == (0, 0)
 
@@ -437,7 +438,7 @@ class TestPhysicalAmplitudes:
                 [Term(ONE, (False,)), Term(CScalar(QExt(1), QExt(1)), (True,))], 1
             )
         )
-        amps = physical_amplitudes(deferred, 7)
+        amps = physical_amplitudes(deferred, deferred.entries(), 7)
         assert abs(amps[0][0] / 10**7 - 1 / 3**0.5) < 1e-7
         rendered = state_to_complex(deferred)
         assert abs(rendered[0] - complex(amps[0][0] / 10**7, 0)) < 1e-7
