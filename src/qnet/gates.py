@@ -13,10 +13,15 @@ doubles it, and M keeps the sum of the half it keeps.
 
 A gate on qubit n acts on the basis-index bit ``qubit_mask(nqubits, n)``,
 which also validates n.  X, Z, H and CN apply to each of a state's four
-integer ``lanes`` that is not all zero, the same code on both backends:
-H adds and subtracts each pair and divides the shared ``unit`` once by
-the backend's sqrt(2) (exact, or its rational stand-in), and M splits the
-same lanes and compares integer norm sums by an exact sign test.
+integer ``lanes``, the same code on both backends, and pass the shared zero
+lane ``ZERO_LANES[len(lane)]`` through by identity, unscanned.  That keeps
+the invariant that every all-zero lane is the shared one, since X, Z and
+CN permute or negate and H's (a+b, a-b) is zero only for a = b = 0.  H
+adds and subtracts each pair, or copies where one half is all zero, and
+divides the shared ``unit`` once by the backend's sqrt(2) (exact, or its
+rational stand-in).  M splits the same lanes, compares integer norm sums
+by an exact sign test, and makes a lane whose kept half is all zero the
+shared zero lane.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg, sub
 
-from .qstate import QState, lane_norm_sq, qubit_mask
+from .qstate import ZERO_LANES, QState, lane_norm_sq, qubit_mask
 from .scalar import sign
 
 
@@ -65,13 +70,15 @@ def _merge(lo, hi, mask: int) -> tuple:
 
 
 def _on_halves(state: QState, mask: int, fn, unit, lane_norm) -> QState:
-    """`fn(lo, hi) -> (lo, hi)` applied to the halves of every lane that is
-    not all zero, over the factor `unit`, with the new lanes' `lane_norm`."""
+    """`fn(lo, hi) -> (lo, hi)` applied to the halves of every lane but the
+    shared zero lane, which passes through by identity, over the factor
+    `unit`, with the new lanes' `lane_norm`."""
 
     def apply(lane):
         return _merge(*fn(*_split(lane, mask)), mask)
 
-    lanes = (apply(lane) if any(lane) else lane for lane in state.lanes)
+    zero = ZERO_LANES[len(state.lanes[0])]
+    lanes = (lane if lane is zero else apply(lane) for lane in state.lanes)
     return state.with_lanes(lanes, unit, lane_norm)
 
 
@@ -90,6 +97,11 @@ def gate_Z(state: QState, n: int) -> QState:
 
 
 def _mix(lo, hi):
+    """(a, b) -> (a+b, a-b) pair by pair; a copy where one half is all zero."""
+    if not any(hi):
+        return lo, lo
+    if not any(lo):
+        return hi, list(map(neg, hi))
     return list(map(add, lo, hi)), list(map(sub, lo, hi))
 
 
@@ -130,13 +142,15 @@ def measure_split(state: QState, n: int) -> tuple:
     """Qubit n's measurement split: the integer norm sums (x, y), for
     x + y*sqrt(2), of its |0> and |1> halves, and `collapse(outcome)`, the
     state with the other half zeroed, unscaled.  The sums share the factor
-    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums.  Only
-    lanes that are not all zero are split, and O is the state's lane norm
-    minus Z.  The collapsed state carries its kept half's sum as its
-    ``lane_norm``; when the dropped half is all zero already, it keeps the
-    input's lanes."""
+    unit^2 > 0, so p0 = Z / (Z + O) for Z, O the |0> and |1> sums.  The
+    shared zero lane is not split, and O is the state's lane norm minus Z.
+    The collapsed state carries its kept half's sum as its ``lane_norm``;
+    when the dropped half is all zero already, it keeps the input's lanes,
+    and otherwise a lane whose kept half is all zero becomes the shared
+    zero lane."""
     mask = qubit_mask(state.nqubits, n)
-    halves = [_split(lane, mask) if any(lane) else None for lane in state.lanes]
+    zero = ZERO_LANES[len(state.lanes[0])]
+    halves = [None if lane is zero else _split(lane, mask) for lane in state.lanes]
     zx, zy = lane_norm_sq(*(h[0] if h else () for h in halves))  # () sums to 0
     x, y = state.lane_norm
     if not x:  # x sums squares: 0 only for all-zero lanes
@@ -147,8 +161,11 @@ def measure_split(state: QState, n: int) -> tuple:
     def collapse(outcome) -> QState:
         if not sums[1 - outcome][0]:  # x sums squares: 0 only for an all-zero half
             return state.with_lanes(state.lanes, state.unit, sums[outcome])
-        kept = [None if h is None else (zeros, h[1]) if outcome else (h[0], zeros) for h in halves]
-        lanes = (lane if k is None else _merge(*k, mask) for lane, k in zip(state.lanes, kept))
+        lanes = (
+            _merge(*((zeros, h[1]) if outcome else (h[0], zeros)), mask)
+            if h and any(h[outcome]) else zero
+            for h in halves
+        )
         return state.with_lanes(lanes, state.unit, sums[outcome])
 
     return sums, collapse

@@ -75,6 +75,8 @@ class Circuit:
 class RandomStream:
     """An ordered supply of rational draws in [0, 1], consumed by M gates."""
 
+    __slots__ = ("_draws", "_cursor")
+
     def __init__(self, draws: Iterable):
         checked = []
         for d in draws:

@@ -20,11 +20,14 @@ the gates know the lanes: the kernels build states over new lanes by
 ``QState.from_lanes``, with the norm they carry, and every other state is
 built from integer entries (re.a, re.b, im.a, im.b) by
 ``QState.from_entries``, which sums the norm, and read by
-``QState.entries()``.  The CScalar view
-``amps`` is computed on each read and not stored, each entry as
-``backend.from_ints(a, b, 1) * unit``; every scalar in it is reduced, a
-``QExt`` to its integer triple and a ``Fraction`` by itself, so the view
-does not depend on how far the lanes are reduced.  On the exact backend
+``QState.entries()``.  An all-zero lane is always ``ZERO_LANES[length]``,
+one shared tuple per lane length: the builders, M's collapse and
+``reduced()`` hand back that object, and the kernels skip it by identity
+(a lane that is zero but not shared is still handled, only not skipped).
+The CScalar view ``amps`` is computed on each read and not stored, each
+entry as ``backend.from_ints(a, b, 1) * unit``; every scalar in it is
+reduced, a ``QExt`` to its integer triple and a ``Fraction`` by itself, so
+the view does not depend on how far the lanes are reduced.  On the exact backend
 ``unit`` is in Q[sqrt(2)]; on the approximate backend it is a rational and
 the sqrt(2) lanes re.b and im.b stay zero.
 
@@ -71,6 +74,22 @@ MAX_QUBITS = 16
 def _check_width(nqubits: int) -> None:
     if not 1 <= nqubits <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
+
+
+class _ZeroLanes(dict):
+    """The one all-zero lane of each length, made on first use."""
+
+    def __missing__(self, length: int) -> tuple:
+        zero = self[length] = (0,) * length
+        return zero
+
+
+ZERO_LANES = _ZeroLanes()
+
+
+def _shared(lane: tuple) -> tuple:
+    """`lane`, or the shared zero of its length if it is all zero."""
+    return lane if any(lane) else ZERO_LANES[len(lane)]
 
 
 def qubit_mask(nqubits: int, n: int) -> int:
@@ -128,7 +147,7 @@ class QState:
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
         entries, self.unit = _entries_of_rows(enumerate(amps), backend)
-        self.lanes = tuple(zip(*entries.values()))
+        self.lanes = tuple(map(_shared, zip(*entries.values())))
         self.nqubits, self.scale_sq, self.backend = nqubits, scale_sq, backend
         self.lane_norm = lane_norm_sq(*self.lanes)
 
@@ -138,11 +157,10 @@ class QState:
         integer ``(re.a, re.b, im.a, im.b)``, times ``unit``, and zero at
         every index not given.  ``lane_norm`` is summed here, over the given
         entries (after a zero one, so that an empty dict gives four lanes);
-        equal lanes, such as the all-zero ones, are kept as one tuple."""
-        lanes = tuple(zip(*(entries.get(i, (0, 0, 0, 0)) for i in range(1 << nqubits))))
+        an all-zero lane is the shared ``ZERO_LANES`` tuple of its length."""
+        lanes = zip(*(entries.get(i, (0, 0, 0, 0)) for i in range(1 << nqubits)))
         norm = lane_norm_sq(*zip((0, 0, 0, 0), *entries.values()))
-        shared = map({}.setdefault, lanes, lanes)
-        return cls.from_lanes(nqubits, shared, unit, scale_sq, backend, norm)
+        return cls.from_lanes(nqubits, map(_shared, lanes), unit, scale_sq, backend, norm)
 
     @classmethod
     def from_lanes(cls, nqubits, lanes, unit, scale_sq, backend, lane_norm) -> "QState":
@@ -169,20 +187,25 @@ class QState:
         some part is odd, so one sqrt(2) step is all there can be (and on
         the approximate backend, whose sqrt(2) lanes are zero, none).
         ``lane_norm`` is divided by g^2, and by 2 at the sqrt(2) step.
+        The shared zero lane is skipped by identity, never scanned or
+        divided, and stays itself.
         """
         lanes, unit, norm = self.lanes, self.unit, self.lane_norm
-        g = math.gcd(*lanes[0], *lanes[1], *lanes[2], *lanes[3])
+        zero = ZERO_LANES[len(lanes[0])]
+        g = math.gcd(*(math.gcd(*lane) for lane in lanes if lane is not zero))
         if g == 0:
             return self  # the zero vector
         if g > 1:
-            lanes = tuple(tuple(x // g for x in lane) for lane in lanes)
+            lanes = tuple(lane if lane is zero else tuple(x // g for x in lane) for lane in lanes)
             unit = unit * g
             g_sq = g * g
             norm = norm[0] // g_sq, norm[1] // g_sq
         re_a, re_b, im_a, im_b = lanes
-        if not any(x & 1 for x in re_a) and not any(x & 1 for x in im_a):
-            half_re_a = tuple(x >> 1 for x in re_a)
-            lanes = (re_b, half_re_a, im_b, tuple(x >> 1 for x in im_a))
+        if not any(x & 1 for lane in (re_a, im_a) if lane is not zero for x in lane):
+            re_a, im_a = (
+                lane if lane is zero else tuple(x >> 1 for x in lane) for lane in (re_a, im_a)
+            )
+            lanes = (re_b, re_a, im_b, im_a)
             unit = unit * self.backend.sqrt_two
             norm = norm[0] >> 1, norm[1] >> 1
         if lanes is self.lanes:
@@ -379,7 +402,7 @@ def tensor_product(a: QState, b: QState) -> QState:
     ints = [_lane_product(x, y) for x in zip(*a.lanes) for y in zip(*b.lanes)]
     (x, y), (z, w) = a.lane_norm, b.lane_norm
     return QState.from_lanes(
-        nqubits, zip(*ints), a.unit * b.unit, a.scale_sq * b.scale_sq, a.backend,
+        nqubits, map(_shared, zip(*ints)), a.unit * b.unit, a.scale_sq * b.scale_sq, a.backend,
         (x * z + 2 * y * w, x * w + y * z),
     )
 
@@ -455,7 +478,7 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
         raise NotRepresentableError(
             "the extracted qubit's scale has no exact representation"
         )
-    return QState.from_lanes(1, zip(a0, a1), unit, backend.one, backend, norm)
+    return QState.from_lanes(1, map(_shared, zip(a0, a1)), unit, backend.one, backend, norm)
 
 
 # --- state file format -------------------------------------------------------

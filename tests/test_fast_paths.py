@@ -26,11 +26,12 @@ Each fast path is checked against the slower rule it replaces:
   part; and the ``lane_norm`` that every state carries against the lane
   sum.
 
-- `measure_split`, which splits only the lanes that are not all zero and
-  sums only the |0> half, against the split of all four lanes with both
-  halves summed; and `parse_state`, which sums each literal's rationals
-  straight into lanes, against `parse_cscalar`, `to_backend` and
-  `sort_and_merge`.
+- `measure_split`, which skips the shared zero lane by identity and sums
+  only the |0> half, against the split of all four lanes with both halves
+  summed (``test_zero_lanes.py`` checks the sharing itself, and the gates
+  and ``reduced()`` on fresh zero lanes); and `parse_state`, which sums
+  each literal's rationals straight into lanes, against `parse_cscalar`,
+  `to_backend` and `sort_and_merge`.
 
 - `branches`, which walks every M outcome with no draws, against
   `run_circuit` with draw 0 for outcome 0 and draw 1 for outcome 1, and
@@ -81,6 +82,7 @@ from qnet import (
 from qnet.gates import _merge, _split, measure_split
 from qnet.qstate import (
     MAX_QUBITS,
+    ZERO_LANES,
     Term,
     _cscalars,
     _lane_product,
@@ -1000,18 +1002,24 @@ def full_split(state, n):
     return sums, collapse
 
 
+def as_lanes(lists):
+    """Integer lists as lanes, each all-zero one the shared zero lane, as
+    the state builders give them."""
+    return tuple(tuple(x) if any(x) else ZERO_LANES[len(x)] for x in lists)
+
+
 def split_input(rng, nqubits, backend, nonzero):
     """A state whose lanes `nonzero` hold integers, at least one of them
-    not zero, and whose other lanes are all zero (all four for the zero
-    state); a random unit, scale_sq 1 or deferred, lane_norm passed to
-    ``from_lanes``."""
+    not zero, and whose other lanes are the shared zero lane (all four for
+    the zero state); a random unit, scale_sq 1 or deferred, lane_norm
+    passed to ``from_lanes``."""
     size = 1 << nqubits
     lanes = [[0] * size for _ in range(4)]
     for k in nonzero:
         for i in range(size):
             lanes[k][i] = rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**20), 10**20)))
         lanes[k][rng.randrange(size)] = rng.choice((1, -1)) * rng.randint(1, 10**6)
-    lanes = tuple(map(tuple, lanes))
+    lanes = as_lanes(lanes)
     scale_sq = backend.one
     if rng.random() < 0.3:
         scale_sq = backend.from_ints(rng.randint(1, 99), 0, rng.randint(1, 99))
@@ -1029,7 +1037,7 @@ def certain_input(rng, state, n, outcome):
     k = next((k for k, lane in enumerate(state.lanes) if any(lane)), 0)
     if not any(map(any, lanes)):
         lanes[k][rng.choice(kept)] = rng.choice((1, -1)) * rng.randint(1, 10**6)
-    lanes = tuple(map(tuple, lanes))
+    lanes = as_lanes(lanes)
     return state.with_lanes(lanes, state.unit, lane_norm_sq(*lanes))
 
 
