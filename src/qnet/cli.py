@@ -16,6 +16,11 @@ one with more digits than Python converts from int to text, 4 random
 stream exhausted, 5 teleportation check failed.
 Output is deterministic: identical invocations produce byte-identical
 output.
+
+Each ``cmd_*`` returns its exit code and its output lines; ``main`` writes
+them to stdout in one piece, after the whole command, so a failing command
+prints nothing there.  One ``RenderCache`` per command holds its ``emit``,
+``digits`` and ``sparse`` settings.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import functools
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     EntangledError,
@@ -67,7 +71,6 @@ EXIT_NOT_REPRESENTABLE = 3
 EXIT_STREAM = 4
 EXIT_FAIL = 5
 
-DEFAULT_EPS = Fraction(1, 10**12)
 # Python's default limit on int-to-str conversion (sys.int_info.
 # default_max_str_digits): format_fixed cannot print more decimal places.
 MAX_DIGITS = 4300
@@ -78,7 +81,9 @@ def _backend_from_args(args) -> Backend:
         if args.eps is not None:
             raise ParseError("--eps applies only to --backend approx")
         return EXACT
-    eps = parse_rational(args.eps) if args.eps is not None else DEFAULT_EPS
+    if args.eps is None:
+        return ApproxBackend()
+    eps = parse_rational(args.eps)
     try:
         return ApproxBackend(eps)
     except ValueError:
@@ -121,34 +126,32 @@ def _random_stream(args) -> RandomStream:
 
 
 class RenderCache:
-    """What the states of one command share when rendered: the deferred
-    roots of ``physical_amplitudes``, the basis labels of each width, and
-    the text of each integer entry under one (emit, digits, unit, scale_sq,
-    backend) key at a time; a new key replaces the texts."""
+    """The render context of one command: its ``emit``, ``digits`` and
+    ``sparse`` settings, fixed for the command, and what its states share
+    when rendered: the deferred roots of ``physical_amplitudes``, the basis
+    labels of each width, and the text of each integer entry under one
+    (unit, scale_sq) key at a time; a new key replaces the texts."""
 
-    def __init__(self):
+    def __init__(self, emit: str = "exact", digits: int = 6, sparse: bool = False):
+        self.emit, self.digits, self.sparse = emit, digits, sparse
         self.roots: dict = {}
         self.labels: dict[int, list[str]] = {}
         self.key = None
         self.texts: dict[tuple, str] = {}
 
 
-def render_state(
-    state: QState, emit: str, digits: int, sparse: bool, cache: RenderCache | None = None
-) -> list[str]:
-    """The output lines of one state; only the entries that ``cache``
-    holds no text for are formatted, under the state's unit, scale_sq and
-    backend."""
-    if cache is None:
-        cache = RenderCache()
-    key = (emit, digits, state.unit, state.scale_sq, state.backend)
+def render_state(state: QState, cache: RenderCache) -> list[str]:
+    """The output lines of one state under the command's settings; only
+    the entries that ``cache`` holds no text for are formatted, under the
+    state's unit and scale_sq."""
+    key = (state.unit, state.scale_sq)
     if key != cache.key:
         cache.key, cache.texts = key, {}
-    texts = cache.texts
+    texts, digits = cache.texts, cache.digits
     entries = state.entries()
     missing = [entry for entry in dict.fromkeys(entries) if entry not in texts]
     if missing:
-        if emit == "exact":
+        if cache.emit == "exact":
             texts.update(zip(missing, exact_texts(state, missing)))
         else:
             amplitudes = physical_amplitudes(state, missing, digits, cache.roots)
@@ -162,11 +165,11 @@ def render_state(
     return [
         f"{texts[entry]} | {label}"
         for entry, label in zip(entries, cache.labels[n])
-        if not sparse or any(entry)
+        if not cache.sparse or any(entry)
     ]
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[int, list[str]]:
     if args.emit == "exact" and args.digits is not None:
         raise ParseError("--digits applies only to --emit decimal")
     digits = args.digits if args.digits is not None else 6
@@ -178,32 +181,27 @@ def cmd_run(args) -> int:
     circuit = parse_circuit(_read(args.circuit), args.qubits)
     initial = _initial_state(args.state, backend)
     stream = _random_stream(args)
-    cache = RenderCache()
+    cache = RenderCache(args.emit, digits, args.sparse_output)
     if args.command == "trace":
         _, events = run_circuit_traced(circuit, initial, stream)
-        lines = ["# initial"]
-        lines += render_state(normalize(initial), args.emit, digits, args.sparse_output, cache)
+        lines = ["# initial", *render_state(normalize(initial), cache)]
         for event in events:
             label = f"# step {event.step}: {event.gate}"
             if event.draw is not None:
                 label += f" r={event.draw}"
-            lines += ["", label]
-            lines += render_state(event.state, args.emit, digits, args.sparse_output, cache)
-    else:
-        final = run_circuit(circuit, initial, stream)
-        lines = render_state(final, args.emit, digits, args.sparse_output, cache)
-    print("\n".join(lines))  # one write, after the run: a failing command prints nothing
-    return EXIT_OK
+            lines += ["", label, *render_state(event.state, cache)]
+        return EXIT_OK, lines
+    return EXIT_OK, render_state(run_circuit(circuit, initial, stream), cache)
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> tuple[int, list[str]]:
     backend = _backend_from_args(args)
     alpha = parse_cscalar(args.alpha)
     beta = parse_cscalar(args.beta)
     r1 = parse_rational(args.r1)
     r2 = parse_rational(args.r2)
     final = teleport_protocol(alpha, beta, r1, r2, backend)
-    lines = ["# final state", *render_state(final, "exact", 6, sparse=False)]
+    lines = ["# final state", *render_state(final, RenderCache())]
     narrowed = narrow_to_qubit(final, 2)
     expected = make_qubit(alpha, beta, backend)
     lines.append(f"# qubit 2:  {format_cscalar(narrowed.coeff(0))} {format_cscalar(narrowed.coeff(1))}")
@@ -216,11 +214,10 @@ def cmd_teleport(args) -> int:
         passed = narrowed == expected
         lines.append("# max deviation: 0.0000000000" if passed else "# states differ")
     lines.append("PASS" if passed else "FAIL")
-    print("\n".join(lines))
-    return EXIT_OK if passed else EXIT_FAIL
+    return (EXIT_OK if passed else EXIT_FAIL), lines
 
 
-def cmd_verify_teleport(args) -> int:
+def cmd_verify_teleport(args) -> tuple[int, list[str]]:
     backend = _backend_from_args(args)
     report = verify_teleportation(DEFAULT_INPUTS, backend)
     lines = [f"# teleportation verification, backend {backend.name}, {len(report.cases)} cases"]
@@ -231,8 +228,7 @@ def cmd_verify_teleport(args) -> int:
         )
         lines.append(case.summary_line())
     lines.append("PASS" if report.all_passed else "FAIL")
-    print("\n".join(lines))
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    return (EXIT_OK if report.all_passed else EXIT_FAIL), lines
 
 
 @functools.cache
@@ -244,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend_flags(p):
+    def add_backend_flags(p, eps_note=""):
         p.add_argument(
             "--backend", choices=("exact", "approx"), default="exact",
             help="scalar backend (default: exact)",
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eps", metavar="RAT", default=None,
             help="tolerance for the approx backend, above 0 and below 1"
-            " (default 1/1000000000000)",
+            f" (default {ApproxBackend.eps}){eps_note}",
         )
 
     for name, text in (("run", "execute a circuit"), ("trace", "execute a circuit, dumping each step")):
@@ -285,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="payload |1> coefficient, cplx literal")
     p.add_argument("--r1", required=True, help="first measurement draw, rational")
     p.add_argument("--r2", required=True, help="second measurement draw, rational")
-    add_backend_flags(p)
+    add_backend_flags(
+        p, "; the final state prints exactly, so an eps small enough to give an"
+        f" amplitude more than {MAX_DIGITS} digits exits 3",
+    )
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("verify-teleport", help="run the built-in verification suite")
@@ -298,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a pipe closed after the last print fails here
+        code, lines = args.func(args)
+        print("\n".join(lines))  # the one stdout write: a failing command prints nothing
+        sys.stdout.flush()  # a pipe closed after the print fails here
         return code
     except BrokenPipeError:
         # the reader left; the flush at exit must not raise again

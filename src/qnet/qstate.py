@@ -131,13 +131,11 @@ class QState:
 
     __slots__ = ("nqubits", "lanes", "unit", "scale_sq", "backend", "lane_norm")
 
-    def __init__(
-        self,
-        nqubits: int,
-        amps: Iterable[CScalar],
-        scale_sq: Scalar,
-        backend: Backend = EXACT,
-    ):
+    def __new__(
+        cls, nqubits: int, amps: Iterable[CScalar], scale_sq: Scalar, backend: Backend = EXACT
+    ) -> "QState":
+        """The state with coefficients ``amps`` in the backend's field,
+        assembled by ``from_entries`` over their integer entries."""
         _check_width(nqubits)
         amps = tuple(to_backend(c, backend) for c in amps)
         if len(amps) != 1 << nqubits:
@@ -146,10 +144,8 @@ class QState:
             scale_sq = backend.from_ints(*int_parts(scale_sq))
         if backend.sign(scale_sq) <= 0:
             raise ValueError("scale_sq must be positive")
-        entries, self.unit = _entries_of_rows(enumerate(amps), backend)
-        self.lanes = tuple(map(_shared, zip(*entries.values())))
-        self.nqubits, self.scale_sq, self.backend = nqubits, scale_sq, backend
-        self.lane_norm = lane_norm_sq(*self.lanes)
+        entries, unit = _entries_of_rows(enumerate(amps), backend)
+        return cls.from_entries(nqubits, entries, unit, scale_sq, backend)
 
     @classmethod
     def from_entries(cls, nqubits, entries: dict, unit, scale_sq, backend) -> "QState":

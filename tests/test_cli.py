@@ -29,7 +29,7 @@ from qnet import (
     zero_qstate,
 )
 from qnet import qstate
-from qnet.cli import RenderCache, build_parser, main, render_state
+from qnet.cli import MAX_DIGITS, RenderCache, build_parser, main, render_state
 from qnet.gates import gate_CN, gate_H
 from qnet.qstate import basis_label, physical_amplitudes
 from qnet.scalar import format_cscalar, format_scaled
@@ -387,15 +387,24 @@ class TestExitCodes:
         assert err.count("qnet: hint:") == 1
 
     def test_teleport_exit_3_prints_no_hint(self, capsys):
-        # teleport has no --emit, and its backend is approx already
-        code, out, err = run_cli(
-            capsys,
-            "teleport", "--alpha", "(1/2*s2,0)", "--beta", "(1/2*s2,0)",
-            "--r1", "1/4", "--r2", "3/4", "--backend", "approx", "--eps", "1/1" + "0" * 4000,
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("qnet: error: an exact amplitude has more than")
-        assert "hint" not in err and err.count("\n") == 1
+        # teleport prints its final state exactly and has no --emit, and its
+        # backend is approx already: on every branch an eps this small exits
+        # 3 with nothing on stdout and no hint, and its --eps help says so
+        for r1, r2 in (("1/4", "3/4"), ("3/4", "1/4")):
+            code, out, err = run_cli(
+                capsys,
+                "teleport", "--alpha", "(1/2*s2,0)", "--beta", "(1/2*s2,0)",
+                "--r1", r1, "--r2", r2, "--backend", "approx", "--eps", "1/1" + "0" * 4000,
+            )
+            assert (code, out) == (3, "")
+            assert err == (
+                f"qnet: error: an exact amplitude has more than {sys.get_int_max_str_digits()}"
+                " digits, Python's limit for int-to-str conversion\n"
+            )
+        with pytest.raises(SystemExit):
+            main(["teleport", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"amplitude more than {MAX_DIGITS} digits exits 3" in help_text
 
     def test_runtime_error_names_the_step_and_the_gate(self, capsys, tmp_path):
         # the draw 1 selects the |1> branch, which has weight 0 on zero:1
@@ -597,7 +606,7 @@ class TestDecimalDeferredScale:
                 for i, c in enumerate(state.amps)
             )
             final = run_circuit(circuit, parse_state(text), RandomStream([F(1, 3)]))
-            return render_state(final, "decimal", 6, sparse=False)
+            return render_state(final, RenderCache("decimal", 6))
 
         plain, scaled = render(CScalar(QExt(1))), render(CScalar(QExt(factor)))
         assert [line.split("|")[1] for line in plain] == [line.split("|")[1] for line in scaled]
@@ -648,9 +657,9 @@ class TestTrace:
 
 
 class TestRenderCache:
-    """One RenderCache per command: each distinct lane entry is formatted
-    once per (emit, digits, unit, scale_sq, backend), and the texts equal a
-    fresh render of each state."""
+    """One RenderCache per command, bound to its emit, digits and sparse
+    settings: each distinct lane entry is formatted once per (unit,
+    scale_sq), and the texts equal a fresh render of each state."""
 
     @staticmethod
     def fresh(state, emit, digits, sparse):
@@ -688,24 +697,25 @@ class TestRenderCache:
         ops = rand_circuit_ops(rng, nqubits, ngates)
         draws = rand_draws(rng, sum(op[0] == "M" for op in ops))
         _, events = run_circuit_traced(ops_to_circuit(ops, nqubits), initial, RandomStream(draws))
-        cache = RenderCache()
+        cache = RenderCache(emit, digits, sparse)
         for state in [normalize(initial)] + [event.state for event in events]:
             try:
                 want = self.fresh(state, emit, digits, sparse)
             except NotRepresentableError:
                 with pytest.raises(NotRepresentableError):
-                    render_state(state, emit, digits, sparse, cache)
+                    render_state(state, cache)
                 continue
-            assert render_state(state, emit, digits, sparse, cache) == want
+            assert render_state(state, cache) == want
 
     def test_each_key_part_gets_its_own_text(self):
-        # the same entries under two units, two scale_sqs and two digit counts
+        # the same entries under two units and two scale_sqs, in one
+        # context per (emit, digits)
         entries = {0: (1, 0, 0, 0), 1: (0, 1, 0, 0)}  # 1 at |0>, sqrt(2) at |1>
 
         def state(unit, scale_sq=QExt(1)):
             return QState.from_entries(1, entries, unit, scale_sq, EXACT)
 
-        cache = RenderCache()
+        contexts = {}
         renders = [
             ("exact", 6, state(QExt(1))),
             ("exact", 6, state(QExt(F(1, 2)))),
@@ -716,7 +726,8 @@ class TestRenderCache:
         ]
         seen = []
         for emit, digits, each in renders:
-            lines = render_state(each, emit, digits, False, cache)
+            cache = contexts.setdefault((emit, digits), RenderCache(emit, digits))
+            lines = render_state(each, cache)
             assert lines == self.fresh(each, emit, digits, False)
             seen.append(lines)
         assert seen[0] == ["(1, 0) | 0", "(1*s2, 0) | 1"]
@@ -757,9 +768,9 @@ class TestRenderCache:
         calls = []
         real = qstate.lane_norm_sq
         monkeypatch.setattr(qstate, "lane_norm_sq", lambda *lanes: calls.append(1) or real(*lanes))
-        cache = RenderCache()
+        cache = RenderCache(emit)
         for state in [initial] + [event.state for event in events]:
-            assert render_state(state, emit, 6, False, cache)
+            assert render_state(state, cache)
         assert calls == []
 
 

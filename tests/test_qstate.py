@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnet import (
+    EXACT,
     CScalar,
     QExt,
     Term,
@@ -26,14 +28,17 @@ from qnet.errors import (
 )
 from qnet.qstate import (
     MAX_QUBITS,
+    ZERO_LANES,
     QState,
+    _entries_of_rows,
     basis_label,
     bits_to_index,
     index_to_bits,
+    lane_norm_sq,
     physical_amplitudes,
     qubit_mask,
 )
-from qnet.scalar import ApproxBackend
+from qnet.scalar import ApproxBackend, int_parts, to_backend
 
 from support import (
     rand_cscalar,
@@ -252,6 +257,56 @@ class TestConstructors:
         assert state == zero_qstate(1, approx)
         deferred = QState(1, (ONE, ZERO), QExt(0, 1), approx)
         assert deferred.scale_sq == approx.sqrt_two
+
+
+BACKENDS = [EXACT, ApproxBackend(F(1, 10**6))]
+# mostly zero parts, so that whole lanes are zero
+PARTS = st.sampled_from([0, 0, 0, 0, 1, -1, F(1, 2), F(-3, 4), F(5, 3)])
+CSCALARS = st.builds(
+    lambda a, b, c, d: CScalar(QExt(a, b), QExt(c, d)), PARTS, PARTS, PARTS, PARTS
+)
+
+
+class TestAssembly:
+    """``QState(n, amps, scale_sq, backend)`` is ``from_entries`` over the
+    integer entries of its coefficients, with its own checks in front."""
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=["exact", "approx"])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        nqubits=st.integers(1, 4),
+        scale_sq=st.sampled_from([1, F(1, 2), 3, QExt(2, 1), QExt(F(1, 3), F(1, 5))]),
+    )
+    def test_qstate_is_from_entries_of_its_amps(self, backend, data, nqubits, scale_sq):
+        size = 1 << nqubits
+        amps = data.draw(st.lists(CSCALARS, min_size=size, max_size=size))
+        state = QState(nqubits, amps, scale_sq, backend)
+        rows = enumerate(to_backend(c, backend) for c in amps)
+        entries, unit = _entries_of_rows(rows, backend)
+        want_scale = backend.from_ints(*int_parts(scale_sq))
+        want = QState.from_entries(nqubits, entries, unit, want_scale, backend)
+        assert type(state) is QState
+        assert (state.nqubits, state.backend) == (nqubits, backend)
+        assert state.lanes == want.lanes
+        assert all(lane is ZERO_LANES[size] for lane in state.lanes if not any(lane))
+        assert type(state.unit) is type(want.unit) and state.unit == want.unit
+        assert type(state.scale_sq) is type(backend.one) and state.scale_sq == want_scale
+        assert state.lane_norm == want.lane_norm == lane_norm_sq(*state.lanes)
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=["exact", "approx"])
+    def test_qstate_checks_are_unchanged(self, backend):
+        def message(*args):
+            with pytest.raises(ValueError) as raised:
+                QState(*args, backend)
+            return str(raised.value)
+
+        width = f"qubit count must be in 1..{MAX_QUBITS}"
+        assert message(0, [], 1) == message(MAX_QUBITS + 1, [], 1) == width
+        length = "canonical state needs one coefficient per basis vector"
+        assert message(2, [ONE] * 3, 1) == message(1, [ONE] * 3, 1) == length
+        for bad in (0, -1, F(-1, 2), QExt(1, -1)):
+            assert message(1, [ONE, ZERO], bad) == "scale_sq must be positive"
 
 
 class TestGetDeterministicQubit:
