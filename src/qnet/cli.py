@@ -101,7 +101,7 @@ def _read(path: str) -> str:
 def _initial_state(spec: str, backend: Backend) -> QState:
     if spec.startswith("zero:"):
         count = spec[len("zero:") :]
-        width = parse_int(count) if count.isdecimal() else 0
+        width = parse_int(count) if count.isascii() and count.isdecimal() else 0
         if width < 1:
             raise ParseError(f"bad initial state {spec!r}")
         return zero_qstate(width, backend)
@@ -116,12 +116,10 @@ def _initial_state(spec: str, backend: Backend) -> QState:
 def _random_stream(args) -> RandomStream:
     if args.randoms is not None and args.randoms_file is not None:
         raise ParseError("--randoms and --randoms-file are mutually exclusive")
-    if args.randoms is not None:
-        pieces = args.randoms.split(",")
-    elif args.randoms_file is not None:
-        pieces = [raw.split("#", 1)[0] for raw in _read(args.randoms_file).splitlines()]
+    if args.randoms_file is None:
+        pieces = (args.randoms or "").split(",")
     else:
-        pieces = []
+        pieces = [raw.split("#", 1)[0] for raw in _read(args.randoms_file).splitlines()]
     return RandomStream(parse_rational(p) for p in pieces if p.strip())
 
 

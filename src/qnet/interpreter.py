@@ -32,23 +32,35 @@ from .scalar import Scalar, parse_int
 GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "I": 1, "M": 1, "CN": 2}
 
 
-@dataclass(frozen=True)
 class Gate:
-    """One gate application: mnemonic plus qubit operand(s)."""
+    """One gate application: mnemonic plus qubit operand(s), checked as it
+    is made.  Immutable by convention, as ``QExt`` is; compared, hashed and
+    written as the record (kind, operands)."""
 
-    kind: str
-    operands: tuple[int, ...]
+    __slots__ = ("kind", "operands")
 
-    def __post_init__(self):
-        arity = GATE_ARITY.get(self.kind)
+    def __init__(self, kind: str, operands: tuple[int, ...]):
+        arity = GATE_ARITY.get(kind)
         if arity is None:
-            raise ValueError(f"unknown gate {self.kind!r}")
-        if len(self.operands) != arity:
-            raise ValueError(f"{self.kind} takes {arity} operand(s)")
-        if any(q < 0 for q in self.operands):
+            raise ValueError(f"unknown gate {kind!r}")
+        if len(operands) != arity:
+            raise ValueError(f"{kind} takes {arity} operand(s)")
+        if min(operands) < 0:
             raise ValueError("qubit indices must be nonnegative")
-        if self.kind == "CN" and self.operands[0] == self.operands[1]:
+        if kind == "CN" and operands[0] == operands[1]:
             raise ValueError("CN control and target must differ")
+        self.kind, self.operands = kind, operands
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.operands) == (other.kind, other.operands)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.operands))
+
+    def __repr__(self) -> str:
+        return f"Gate(kind={self.kind!r}, operands={self.operands!r})"
 
     def __str__(self) -> str:
         return " ".join((self.kind, *map(str, self.operands)))
@@ -81,7 +93,7 @@ class RandomStream:
         checked = []
         for d in draws:
             d = d if type(d) is Fraction else Fraction(d)
-            if not 0 <= d <= 1:
+            if not 0 <= d.numerator <= d.denominator:
                 raise ValueError("random draws must lie in [0, 1]")
             checked.append(d)
         self._draws = tuple(checked)
@@ -122,46 +134,44 @@ def count_measurements(circuit: Circuit) -> int:
 def parse_circuit(text: str, nqubits: int | None = None) -> Circuit:
     """Parse circuit text in one pass over its lines.
 
-    Each gate line is built as a `Gate`, whose checks (known kind, arity,
-    distinct CN control and target) are the rules; a failed check becomes a
-    ParseError carrying the line number.  The qubit count comes from the
-    optional 'qubits N' header, which may only precede the gates, or from the
-    nqubits argument; if both are present they must agree.  The count is
-    settled at the first gate, so each index is range-checked as its line
-    is read.
+    Each gate line becomes a `Gate`, whose construction is the check, over
+    indices in ASCII digits; a failed check is a ParseError carrying the
+    line number.  The qubit count comes from the optional 'qubits N' header,
+    which may only precede the gates, or from the nqubits argument; if both
+    are present they must agree.  It is settled at the first gate, so each
+    index is range-checked as its line is read, and a line seen again
+    reuses the `Gate` its first reading built and checked.
     """
     declared: int | None = None
     total: int | None = None
     gates: list[Gate] = []
+    seen: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *args = line.split()
-        numbers = None
-        if all(a.isdecimal() for a in args):
+        gate = seen.get(raw)
+        if gate is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
             try:
-                numbers = tuple(map(parse_int, args))
-            except ParseError as exc:
+                kind, *args = line.split()
+                digits = all(a.isascii() and a.isdecimal() for a in args)
+                numbers = tuple(map(parse_int, args)) if digits else None
+                if kind == "qubits" and not gates and declared is None:
+                    if len(args) != 1 or numbers is None or numbers[0] < 1:
+                        raise ParseError("header must be 'qubits <count>'")
+                    declared = numbers[0]
+                    continue
+                if numbers is None:
+                    raise ParseError(f"bad qubit index in {line!r}")
+                gate = Gate(kind, numbers)
+            except (ParseError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from None
-        if kind == "qubits" and not gates and declared is None:
-            if len(args) != 1 or numbers is None or numbers[0] < 1:
-                raise ParseError("header must be 'qubits <count>'", line=lineno)
-            declared = numbers[0]
-            continue
-        if numbers is None:
-            raise ParseError(f"bad qubit index in {line!r}", line=lineno)
-        try:
-            gate = Gate(kind, numbers)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if total is None:
-            total = _qubit_count(declared, nqubits)
-        for q in gate.operands:
-            if q >= total:
-                raise ParseError(
-                    f"qubit {q} out of range for {total} qubits", line=lineno
-                )
+            if total is None:
+                total = _qubit_count(declared, nqubits)
+            for q in gate.operands:
+                if q >= total:
+                    raise ParseError(f"qubit {q} out of range for {total} qubits", line=lineno)
+            seen[raw] = gate
         gates.append(gate)
     if total is None:
         total = _qubit_count(declared, nqubits)

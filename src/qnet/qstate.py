@@ -297,16 +297,27 @@ def max_component_gap(a: QState, b: QState) -> Fraction:
 
 
 def _entries_of_rows(rows: Iterable[tuple[int, CScalar]], backend: Backend) -> tuple[dict, Scalar]:
+    """``_entries_of_parts`` of each row (i, z), z's parts read by ``int_parts``."""
+    return _entries_of_parts({i: (int_parts(z.re), int_parts(z.im)) for i, z in rows}, backend)
+
+
+def _entries_of_parts(parts: dict, backend: Backend) -> tuple[dict, Scalar]:
     """Integer entries over one common denominator, and their unit 1/den:
-    entry i is the CScalar of row (i, z), in the backend's field, read by
-    ``int_parts``."""
-    parts = {i: (*int_parts(z.re), *int_parts(z.im)) for i, z in rows}
-    den = math.lcm(*(x for p in parts.values() for x in (p[2], p[5])))
+    parts[i] holds the triples (p, q, d), d > 0, of entry i's real and
+    imaginary parts (p + q*sqrt(2)) / d; den is the lcm of their lowest d."""
+    den = math.lcm(*(d // math.gcd(p, q, d) for row in parts.values() for p, q, d in row))
     entries = {
-        i: (p * (den // d), q * (den // d), r * (den // e), s * (den // e))
-        for i, (p, q, d, r, s, e) in parts.items()
+        i: (p * den // d, q * den // d, r * den // e, s * den // e)
+        for i, ((p, q, d), (r, s, e)) in parts.items()
     }
     return entries, backend.from_ints(1, 0, den)
+
+
+def _plus(x: tuple, y: tuple) -> tuple[int, int, int]:
+    """The sum of two triples (p, q, d), over the lcm of their d."""
+    (p, q, d), (r, s, e) = x, y
+    m = math.lcm(d, e)
+    return p * (m // d) + r * (m // e), q * (m // d) + s * (m // e), m
 
 
 def _cscalars(entries: Iterable[tuple], unit: Scalar, backend: Backend) -> tuple[CScalar, ...]:
@@ -485,41 +496,42 @@ def narrow_to_qubit(state: QState, n: int) -> QState:
 
 
 def parse_state(text: str, backend: Backend = EXACT) -> QState:
-    """The listed state: each literal made a CScalar by ``backend.from_ints``
-    (so the approximate backend rounds each literal, as ``to_backend``
-    would), summed per basis vector, and put on lanes over one lcm."""
-    rows: dict[int, CScalar] = {}
+    """The listed state, read in one pass: each literal's (p, q, d) triples,
+    rounded by ``from_ints`` on the approximate backend where they hold a
+    sqrt(2) part, are summed per basis vector in integers and put on lanes
+    over one lcm; no scalar is made but the unit."""
+    sums: dict[int, tuple] = {}
+    seen: dict[str, tuple] = {}
     nqubits: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split("|")
-        if len(parts) != 2:
-            raise ParseError("expected 'cplx | bitstring'", line=lineno)
         try:
-            re, im = parse_cplx_parts(parts[0])
+            if len(parts) != 2:
+                raise ParseError("expected 'cplx | bitstring'")
+            row = seen.get(parts[0])
+            if row is None:  # a literal seen again reuses its triples
+                row = parse_cplx_parts(parts[0])
+                if isinstance(backend, ApproxBackend):
+                    row = tuple(int_parts(backend.from_ints(*x)) if x[1] else x for x in row)
+                seen[parts[0]] = row
+            bits_text = parts[1].strip()
+            if not bits_text or bits_text.strip("01"):
+                raise ParseError(f"bad bitstring {bits_text!r}")
+            if nqubits is None and len(bits_text) > MAX_QUBITS:
+                raise ParseError(f"qubit count must be in 1..{MAX_QUBITS}")
+            nqubits = nqubits or len(bits_text)
+            if len(bits_text) != nqubits:
+                raise ParseError(f"bitstring length {len(bits_text)} != {nqubits}")
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        z = CScalar(backend.from_ints(*re), backend.from_ints(*im))
-        bits_text = parts[1].strip()
-        if not bits_text or set(bits_text) - {"0", "1"}:
-            raise ParseError(f"bad bitstring {bits_text!r}", line=lineno)
-        if nqubits is None:
-            nqubits = len(bits_text)
-            if nqubits > MAX_QUBITS:
-                raise ParseError(
-                    f"qubit count must be in 1..{MAX_QUBITS}", line=lineno
-                )
-        elif len(bits_text) != nqubits:
-            raise ParseError(
-                f"bitstring length {len(bits_text)} != {nqubits}", line=lineno
-            )
         index = int(bits_text, 2)  # qubit 0 is the leftmost bit
-        rows[index] = rows[index] + z if index in rows else z
+        sums[index] = tuple(map(_plus, sums[index], row)) if index in sums else row
     if nqubits is None:
         raise ParseError("state file contains no terms")
-    entries, unit = _entries_of_rows(rows.items(), backend)
+    entries, unit = _entries_of_parts(sums, backend)
     return QState.from_entries(nqubits, entries, unit, backend.one, backend)
 
 

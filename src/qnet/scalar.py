@@ -371,17 +371,19 @@ def approx_of_qext(x: QExt, e) -> Fraction:
 
 # --- scalar literal grammar ------------------------------------------------
 #
-#   rat   := ['-'] digits ['/' digits]
+#   rat   := ['-'] digits ['/' digits]          (digits: ASCII 0-9)
 #   qext  := rat | [rat ('+'|'-')] rat '*' 's2' | rat ('+'|'-') 's2'
 #   cplx  := '(' qext ',' qext ')'
+#
+# One match of _QEXT_RE reads a qext: groups (rat, sign, rat) or a lone rat '*s2'.
 
-_RAT = r"-?\d+(?:/\d+)?"
-_RAT_RE = re.compile(rf"^{_RAT}$")
-_QEXT_S2_RE = re.compile(rf"^(?:(?P<a>{_RAT})(?P<sep>[+-]))?(?:(?P<b>{_RAT})\*)?s2$")
+_RAT = r"(-?[0-9]+)(?:/([0-9]+))?"
+_RAT_RE = re.compile(_RAT)
+_QEXT_RE = re.compile(rf"{_RAT}(?:([+-])(?:{_RAT}\*)?s2)?|{_RAT}\*s2")
 
 
 def parse_int(text: str) -> int:
-    """A string of decimal digits as an int.
+    """A string of ASCII decimal digits, as the readers check it, as an int.
 
     Python converts at most ``sys.get_int_max_str_digits()`` digits (4300
     by default) from text; a longer number is a ParseError that names the
@@ -396,26 +398,22 @@ def parse_int(text: str) -> int:
         ) from None
 
 
-def _rational(text: str, literal: str) -> tuple[int, int]:
-    """(n, d) of a match of the rat grammar, n/d as written; a zero
-    denominator is a ParseError that quotes the whole literal."""
-    num, _, den = text.partition("/")
+def _rational(num: str, den: str | None, literal: str) -> tuple[int, int]:
+    """(n, d) of a rat's matched numerator and denominator, n/d as written;
+    a zero denominator is a ParseError that quotes the whole literal."""
     n, d = parse_int(num), parse_int(den) if den else 1
     if not d:
         raise ParseError(f"zero denominator in {literal!r}")
     return n, d
 
 
-def _rational_literal(text: str) -> tuple[int, int]:
-    """(n, d) of a rat literal, as ``_rational`` reads it."""
-    text = text.strip()
-    if not _RAT_RE.match(text):
-        raise ParseError(f"bad rational literal {text!r}")
-    return _rational(text, text)
-
-
 def parse_rational(text: str) -> Fraction:
-    return Fraction(*_rational_literal(text))
+    """A rat literal such as '-4/6' as a Fraction."""
+    text = text.strip()
+    m = _RAT_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"bad rational literal {text!r}")
+    return Fraction(*_rational(*m.groups(), text))
 
 
 def parse_qext(text: str) -> QExt:
@@ -425,27 +423,27 @@ def parse_qext(text: str) -> QExt:
 
 def _qext_parts(text: str) -> tuple[int, int, int]:
     """Integers (p, q, d), d > 0, of a qext literal (p + q*sqrt(2)) / d,
-    not reduced."""
+    not reduced, from one match of ``_QEXT_RE``."""
     text = text.strip()
-    if "s2" not in text:
-        n, d = _rational_literal(text)
+    m = _QEXT_RE.fullmatch(text)
+    if m is None:
+        # a bare 's2' is not in the grammar; spell it '1*s2'
+        raise ParseError(f"bad {'scalar' if 's2' in text else 'rational'} literal {text!r}")
+    an, ad, sep, bn, bd, lone, lone_d = m.groups()
+    if lone is not None:
+        return (0, *_rational(lone, lone_d, text))
+    n, d = _rational(an, ad, text)
+    if sep is None:
         return n, 0, d
-    m = _QEXT_S2_RE.match(text)
-    # a bare 's2' is not in the grammar; spell it '1*s2'
-    if m is None or m["b"] is None and m["sep"] is None:
-        raise ParseError(f"bad scalar literal {text!r}")
-    n, d = (0, 1) if m["a"] is None else _rational(m["a"], text)
-    r, e = (1, 1) if m["b"] is None else _rational(m["b"], text)
-    return n * e, (-r if m["sep"] == "-" else r) * d, d * e
+    r, e = _rational(bn, bd, text) if bn else (1, 1)
+    return n * e, (-r if sep == "-" else r) * d, d * e
 
 
 def parse_cplx_parts(text: str) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """The ``_qext_parts`` triples of the real and imaginary parts of a cplx
     literal '(qext, qext)'."""
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"bad complex literal {text!r}")
-    parts = text[1:-1].split(",")
+    parts = text[1:-1].split(",") if text[:1] == "(" and text[-1:] == ")" else ()
     if len(parts) != 2:
         raise ParseError(f"bad complex literal {text!r}")
     return _qext_parts(parts[0]), _qext_parts(parts[1])

@@ -14,6 +14,7 @@ from qnet import (
     ApproxBackend,
     CScalar,
     NotRepresentableError,
+    ParseError,
     QExt,
     QState,
     RandomStream,
@@ -21,6 +22,8 @@ from qnet import (
     make_qubit,
     normalize,
     parse_circuit,
+    parse_qext,
+    parse_rational,
     parse_state,
     run_circuit,
     run_circuit_traced,
@@ -521,6 +524,59 @@ def last_digit_units(line: str) -> tuple[int, int]:
     """The two decimals of a '(re, im) | bits' line, in units of the last digit."""
     re, im = line.split("|")[0].strip()[1:-1].split(",")
     return tuple(int(x.strip().replace(".", "")) for x in (re, im))
+
+
+#: Unicode decimal digits that are not ASCII: Arabic-Indic one, two, three,
+#: seven and eight, and fullwidth zero
+AR1, AR2, AR3, AR7, AR8, FW0 = "\u0661", "\u0662", "\u0663", "\u0667", "\u0668", "\uff10"
+
+
+class TestAsciiDigitsOnly:
+    """Every reader takes the ASCII digits 0-9 only: any other Unicode
+    decimal digit is bad input, exit 2, with the message that a bad index
+    or literal gets."""
+
+    @pytest.mark.parametrize(
+        "circuit, state, extra, message",
+        [
+            (f"qubits {AR3}\nH 0\n", "zero:3", (), "line 1: header must be 'qubits <count>'"),
+            (f"qubits 3\nH {AR2}\n", "zero:3", (), f"line 2: bad qubit index in 'H {AR2}'"),
+            (f"H {FW0}\n", "zero:1", ("--qubits", "1"), f"line 1: bad qubit index in 'H {FW0}'"),
+            ("qubits 3\nH 0\n", f"zero:{AR3}", (), f"bad initial state 'zero:{AR3}'"),
+            ("qubits 1\nH 0\n", f"({AR1}/{AR2}, 0) | 0\n", (), f"line 1: bad rational literal '{AR1}/{AR2}'"),
+            ("qubits 1\nH 0\n", f"(0, {AR1}*s2) | 0\n", (), f"line 1: bad scalar literal '{AR1}*s2'"),
+            ("qubits 1\nH 0\n", f"qubit:(1, 0),(0, 1/{AR2})", (), f"bad rational literal '1/{AR2}'"),
+            ("qubits 1\nM 0\n", "zero:1", ("--randoms", f"{AR7}/{AR8}"), f"bad rational literal '{AR7}/{AR8}'"),
+            ("qubits 1\nM 0\n", "zero:1", ("--randoms-file", "draws"), f"bad rational literal '{AR7}/{AR8}'"),
+            ("qubits 1\nH 0\n", "zero:1", ("--backend", "approx", "--eps", f"1/1{AR7}"), f"bad rational literal '1/1{AR7}'"),
+        ],
+    )
+    def test_run_rejects_other_digits(self, capsys, tmp_path, circuit, state, extra, message):
+        (tmp_path / "c.qc").write_text(circuit, encoding="utf-8")
+        (tmp_path / "draws").write_text(f"{AR7}/{AR8}\n", encoding="utf-8")
+        if "|" in state:
+            (tmp_path / "s.state").write_text(state, encoding="utf-8")
+            state = str(tmp_path / "s.state")
+        argv = ["run", "--circuit", str(tmp_path / "c.qc"), "--state", state, *extra]
+        argv = [str(tmp_path / a) if a == "draws" else a for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"qnet: error: {message}\n")
+
+    def test_teleport_rejects_other_digits(self, capsys):
+        code, out, err = run_cli(
+            capsys, "teleport", "--alpha", "(1, 0)", "--beta", "(0, 0)", "--r1", f"{AR1}/{AR2}", "--r2", "0",
+        )
+        assert (code, out, err) == (2, "", f"qnet: error: bad rational literal '{AR1}/{AR2}'\n")
+
+    def test_library_readers_reject_other_digits(self):
+        for read, text in (
+            (lambda t: parse_circuit(t, 3), f"H {AR1}"),
+            (lambda t: parse_circuit(t), f"qubits {AR3}\nH 0"),
+            (parse_state, f"({AR1}, 0) | 0"),
+            (parse_qext, f"{AR1}+s2"),
+            (parse_rational, f"-{AR7}"),
+        ):
+            with pytest.raises(ParseError):
+                read(text)
 
 
 class TestDecimalDeferredScale:

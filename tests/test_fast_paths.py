@@ -30,8 +30,11 @@ Each fast path is checked against the slower rule it replaces:
   only the |0> half, against the split of all four lanes with both halves
   summed (``test_zero_lanes.py`` checks the sharing itself, and the gates
   and ``reduced()`` on fresh zero lanes); and `parse_state`, which sums
-  each literal's rationals straight into lanes, against `parse_cscalar`,
-  `to_backend` and `sort_and_merge`.
+  each literal's integer triples straight into lanes, against
+  `parse_cscalar`, `to_backend` and `sort_and_merge` (on the exact backend
+  it makes one scalar, the unit, which a count test checks);
+- the literal reader, one pattern per qext, against the two patterns
+  and the split on '/' it replaced, on valid and malformed literals.
 
 - `branches`, which walks every M outcome with no draws, against
   `run_circuit` with draw 0 for outcome 0 and draw 1 for outcome 1, and
@@ -44,6 +47,7 @@ checked against a fold that normalizes after every gate in
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,7 +96,16 @@ from qnet.qstate import (
     physical_amplitudes,
 )
 from qnet.teleport import max_component_gap
-from qnet.scalar import approx_of_parts, format_cscalar, int_parts
+from qnet import scalar
+from qnet.scalar import (
+    ExactBackend,
+    _qext_parts,
+    approx_of_parts,
+    format_cscalar,
+    int_parts,
+    parse_int,
+    parse_rational,
+)
 
 from support import (
     ops_to_circuit,
@@ -1216,6 +1229,87 @@ def test_parse_state_rounds_each_approximate_term():
     each = backend.from_ints(0, 5, 2) + backend.from_ints(0, -2, 1)
     assert each != backend.from_ints(0, 1, 2)
     assert state.coeff(0).re == each
+
+
+def test_exact_parse_state_builds_one_scalar(monkeypatch):
+    # literals are summed in integers: the exact backend makes no QExt per
+    # literal or per sum, only the unit 1/den
+    calls = []
+    real = scalar._from_ints
+
+    def counted(p, q, d):
+        calls.append((p, q, d))
+        return real(p, q, d)
+
+    monkeypatch.setattr(scalar, "_from_ints", counted)
+    monkeypatch.setattr(ExactBackend, "from_ints", staticmethod(counted))
+    rng = random.Random(20)
+    lines = [f"({real_literal(rng)}, {real_literal(rng)}) | {rng.randrange(8):03b}" for _ in range(20)]
+    state = parse_state("\n".join(lines), EXACT)
+    assert calls == [(1, 0, int_parts(state.unit)[2])]
+    monkeypatch.undo()
+    expected = term_path_parse("\n".join(lines), EXACT)
+    assert (state.lanes, state.unit, state.lane_norm) == (expected.lanes, expected.unit, expected.lane_norm)
+
+
+# the literal readers as two patterns with ``\d``, one for a rat and one for
+# the forms with sqrt(2), and a split on '/' for each rat
+TWO_RAT = r"-?\d+(?:/\d+)?"
+TWO_RAT_RE = re.compile(rf"^{TWO_RAT}$")
+TWO_S2_RE = re.compile(rf"^(?:(?P<a>{TWO_RAT})(?P<sep>[+-]))?(?:(?P<b>{TWO_RAT})\*)?s2$")
+
+
+def two_pattern_rational(text, literal):
+    num, _, den = text.partition("/")
+    n, d = parse_int(num), parse_int(den) if den else 1
+    if not d:
+        raise ParseError(f"zero denominator in {literal!r}")
+    return n, d
+
+
+def two_pattern_rat_literal(text):
+    text = text.strip()
+    if not TWO_RAT_RE.match(text):
+        raise ParseError(f"bad rational literal {text!r}")
+    return two_pattern_rational(text, text)
+
+
+def two_pattern_qext(text):
+    text = text.strip()
+    if "s2" not in text:
+        n, d = two_pattern_rat_literal(text)
+        return n, 0, d
+    m = TWO_S2_RE.match(text)
+    if m is None or m["b"] is None and m["sep"] is None:
+        raise ParseError(f"bad scalar literal {text!r}")
+    n, d = (0, 1) if m["a"] is None else two_pattern_rational(m["a"], text)
+    r, e = (1, 1) if m["b"] is None else two_pattern_rational(m["b"], text)
+    return n * e, (-r if m["sep"] == "-" else r) * d, d * e
+
+
+def read(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+BAD_LITERALS = (
+    "", "s2", "-s2", "1/", "/2", "1/2/3", "1.5", "1e3", "+1", "--1", "1 /2", "1*s2*s2",
+    "1+*s2", "1+2", "s2+1", "1+s2+s2", "1/0", "0/0*s2", "1+1/0*s2", "2/0-s2",
+    "9" * 4301, "1/" + "7" * 4301, "1+" + "3" * 4301 + "*s2",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), spaces=st.sampled_from(("", " ", "  ", "\t")))
+def test_literal_reader_matches_the_two_pattern_reader(seed, spaces):
+    rng = random.Random(seed)
+    text = spaces + (real_literal(rng) if rng.random() < 0.7 else rng.choice(BAD_LITERALS)) + spaces
+    assert read(_qext_parts, text) == read(two_pattern_qext, text)
+    expected = read(two_pattern_rat_literal, text)
+    got = read(parse_rational, text)
+    assert got == (expected if isinstance(expected, str) else Fraction(*expected))
 
 
 def test_sort_and_merge_sums_before_it_rounds():

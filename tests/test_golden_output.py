@@ -1,10 +1,12 @@
-"""Byte-for-byte stdout of fixed CLI invocations.
+"""Byte-for-byte stdout of fixed CLI invocations, and stderr of failing ones.
 
 Each case runs ``qnet.cli.main`` in process, and again as
 ``python -m qnet`` in a subprocess, and compares its stdout with
-``tests/golden/<case>.out``.  The recorded files are the output contract:
-a change that alters any of them changes what users see.  To record them
-afresh (only when an output change is intended), run
+``tests/golden/<case>.out``.  Each error case does the same with its exit
+code, an empty stdout and its stderr against ``tests/golden/<case>.err``:
+malformed circuit files, state files and draws.  The recorded files are
+the output contract: a change that alters any of them changes what users
+see.  To record them afresh (only when an output change is intended), run
 
     PYTHONPATH=src python tests/test_golden_output.py
 """
@@ -66,6 +68,23 @@ FILES = {
     "rational4": ("r4.state", RATIONAL_4Q),
     "circuit2": ("c2.qc", "qubits 2\nH 0\nCN 0 1\nH 1\nM 0\n"),
     "sqrt2state": ("s2.state", SQRT2_2Q),
+    # malformed inputs, for ERROR_CASES
+    "unknown_gate": ("unknown-gate.qc", "qubits 2\nH 0\nY 1\n"),
+    "arity": ("arity.qc", "qubits 2\nH 0 1\n"),
+    "cn_same": ("cn-same.qc", "qubits 2\nH 1\nCN 0 0\n"),
+    "bad_index": ("bad-index.qc", "qubits 2\n# note\nX -1\n"),
+    "out_of_range": ("out-of-range.qc", "# two\nqubits 2\nH 0\n\nCN 1 2\n"),
+    "late_header": ("late-header.qc", "H 0\nqubits 2\n"),
+    "bad_header": ("bad-header.qc", "qubits two\nH 0\n"),
+    "long_index": ("long-index.qc", "qubits 2\nH " + "1" * 4301 + "\n"),
+    "no_bar": ("no-bar.state", "(1, 0) | 0\n(0, 1) 1\n"),
+    "bad_literal": ("bad-literal.state", "# one\n(1, 0) | 0\n(1/2x, 0) | 1\n"),
+    "zero_denominator": ("zero-denominator.state", "(1/0+1*s2, 0) | 0\n"),
+    "bad_bits": ("bad-bits.state", "(1, 0) | 012\n"),
+    "width_mismatch": ("width-mismatch.state", "(1, 0) | 0\n(0, 1) | 01\n"),
+    "no_terms": ("no-terms.state", "# nothing here\n\n"),
+    "too_wide": ("too-wide.state", "(1, 0) | " + "0" * 17 + "\n"),
+    "bad_draw_file": ("bad-draw.rand", "# draws\n1/2\n3/x\n"),
 }
 
 #: case name -> argv, with ``{placeholder}`` for an input file
@@ -120,49 +139,106 @@ CASES = {
 }
 
 
+
+def _run(circuit: str, state: str, *more: str) -> list[str]:
+    return ["run", "--circuit", circuit, "--state", state, *more]
+
+
+#: case name -> (exit code, argv) of a failing invocation; its stderr is
+#: recorded in ``<case>.err`` and its stdout is empty
+ERROR_CASES = {
+    "error-circuit-unknown-gate": (2, _run("{unknown_gate}", "zero:2")),
+    "error-circuit-arity": (2, _run("{arity}", "zero:2")),
+    "error-circuit-cn-same-qubit": (2, _run("{cn_same}", "zero:2")),
+    "error-circuit-bad-index": (2, _run("{bad_index}", "zero:2")),
+    "error-circuit-index-out-of-range": (2, _run("{out_of_range}", "zero:2")),
+    "error-circuit-late-header": (2, _run("{late_header}", "zero:2", "--qubits", "2")),
+    "error-circuit-bad-header": (2, _run("{bad_header}", "zero:2")),
+    "error-circuit-long-index": (2, _run("{long_index}", "zero:2")),
+    "error-state-no-bar": (2, _run("{h1}", "{no_bar}")),
+    "error-state-bad-literal": (2, _run("{h1}", "{bad_literal}")),
+    "error-state-zero-denominator": (2, _run("{h1}", "{zero_denominator}")),
+    "error-state-bad-bitstring": (2, _run("{h1}", "{bad_bits}")),
+    "error-state-width-mismatch": (2, _run("{h1}", "{width_mismatch}")),
+    "error-state-no-terms": (2, _run("{h1}", "{no_terms}")),
+    "error-state-too-wide": (2, _run("{h1}", "{too_wide}")),
+    "error-draws-bad-rational": (2, _run("{circuit2}", "zero:2", "--randoms", "1/2,x/3")),
+    "error-draws-file-bad-rational": (2, _run("{circuit2}", "zero:2", "--randoms-file", "{bad_draw_file}")),
+    "error-draws-outside-unit-interval": (2, _run("{circuit2}", "zero:2", "--randoms", "3/2")),
+    "error-draws-too-few": (4, _run("{circuit3}", "zero:3", "--randoms", "1/3")),
+}
+
+
 def case_argv(name: str, tmp: str) -> list[str]:
     """The case's argv, with its input files written under `tmp`."""
     paths = {}
     for key, (filename, text) in FILES.items():
         paths[key] = Path(tmp, filename)
         paths[key].write_text(text)
-    return [arg.format(**paths) for arg in CASES[name]]
+    argv = CASES[name] if name in CASES else ERROR_CASES[name][1]
+    return [arg.format(**paths) for arg in argv]
 
 
-def run_case(name: str) -> tuple[int, str]:
+def run_case(name: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the case, run in process."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = case_argv(name, tmp)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_module(name: str, tmp_path) -> subprocess.CompletedProcess:
+    """The case run as ``python -m qnet`` on this checkout's sources."""
+    root = GOLDEN.parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(root / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "qnet", *case_argv(name, tmp_path)],
+        cwd=root, env=env, capture_output=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_recorded_bytes(name):
-    code, out = run_case(name)
+    code, out, _ = run_case(name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_module_entry_point_prints_recorded_bytes(name, tmp_path):
-    root = GOLDEN.parent.parent
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = str(root / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "qnet", *case_argv(name, tmp_path)],
-        cwd=root, env=env, capture_output=True, timeout=120,
-    )
+    done = run_module(name, tmp_path)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_stderr_matches_recorded_bytes(name):
+    code, out, err = run_case(name)
+    assert (code, out) == (ERROR_CASES[name][0], "")
+    assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_module_entry_point_writes_recorded_stderr(name, tmp_path):
+    done = run_module(name, tmp_path)
+    assert (done.returncode, done.stdout) == (ERROR_CASES[name][0], b"")
+    assert done.stderr == (GOLDEN / f"{name}.err").read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        status, text = run_case(case)
+        status, text, _ = run_case(case)
         if status != 0:
             sys.exit(f"{case}: exit {status}")
         (GOLDEN / f"{case}.out").write_text(text, encoding="utf-8")
         print(f"wrote {case}.out ({len(text)} bytes)")
+    for case, (expected, _) in sorted(ERROR_CASES.items()):
+        status, text, err = run_case(case)
+        if (status, text) != (expected, ""):
+            sys.exit(f"{case}: exit {status}, {len(text)} bytes on stdout")
+        (GOLDEN / f"{case}.err").write_text(err, encoding="utf-8")
+        print(f"wrote {case}.err ({len(err)} bytes)")

@@ -1,10 +1,12 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnet.gates
+from qnet import interpreter
 from qnet import (
     CScalar,
     Circuit,
@@ -29,8 +31,9 @@ from qnet import (
     zero_qstate,
 )
 from qnet.errors import ParseError, RandomStreamExhausted
+from qnet.interpreter import GATE_ARITY, _qubit_count
 from qnet.qstate import QState, index_to_bits
-from qnet.scalar import EXACT, ApproxBackend, to_backend
+from qnet.scalar import EXACT, ApproxBackend, parse_int, to_backend
 
 from support import (
     ops_to_circuit,
@@ -123,6 +126,138 @@ class TestParseCircuit:
         assert [g.kind for g in circuit.gates] == ["X", "Z", "I", "M"]
 
 
+@dataclass(frozen=True)
+class RecordGate:
+    """`Gate` as a frozen dataclass whose ``__post_init__`` holds the checks,
+    the form the reference reader below builds."""
+
+    kind: str
+    operands: tuple
+
+    def __post_init__(self):
+        arity = GATE_ARITY.get(self.kind)
+        if arity is None:
+            raise ValueError(f"unknown gate {self.kind!r}")
+        if len(self.operands) != arity:
+            raise ValueError(f"{self.kind} takes {arity} operand(s)")
+        if any(q < 0 for q in self.operands):
+            raise ValueError("qubit indices must be nonnegative")
+        if self.kind == "CN" and self.operands[0] == self.operands[1]:
+            raise ValueError("CN control and target must differ")
+
+
+def reference_parse_circuit(text, nqubits=None):
+    """The circuit reader that splits, checks and builds every line afresh,
+    with no reuse of a line already read; indices by ``isdecimal``, which
+    matches ``parse_circuit``'s ASCII rule on the ASCII texts given here."""
+    declared = total = None
+    gates = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *args = line.split()
+        numbers = None
+        if all(a.isdecimal() for a in args):
+            try:
+                numbers = tuple(map(parse_int, args))
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        if kind == "qubits" and not gates and declared is None:
+            if len(args) != 1 or numbers is None or numbers[0] < 1:
+                raise ParseError("header must be 'qubits <count>'", line=lineno)
+            declared = numbers[0]
+            continue
+        if numbers is None:
+            raise ParseError(f"bad qubit index in {line!r}", line=lineno)
+        try:
+            gate = RecordGate(kind, numbers)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if total is None:
+            total = _qubit_count(declared, nqubits)
+        for q in gate.operands:
+            if q >= total:
+                raise ParseError(f"qubit {q} out of range for {total} qubits", line=lineno)
+        gates.append(gate)
+    if total is None:
+        total = _qubit_count(declared, nqubits)
+    return Circuit(tuple(Gate(g.kind, g.operands) for g in gates), total)
+
+
+OPERANDS = ("0", "1", "2", "3", "4", "9", "01", "-1", "x", "1x", "9" * 4301)
+
+
+@st.composite
+def gate_line(draw, malformed):
+    """A gate line in the spacings and comment forms the grammar allows:
+    over qubits 0-4, or with `malformed` any kind, count and operand."""
+    if malformed:
+        kind = draw(st.sampled_from(("X", "CN", "Y", "qubits", "h")))
+        count = draw(st.integers(0, 3))
+        args = draw(st.lists(st.sampled_from(OPERANDS), min_size=count, max_size=count))
+    else:
+        kind = draw(st.sampled_from(("X", "Z", "H", "I", "M", "CN")))
+        pair = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        args = [str(q) for q in pair[: 2 if kind == "CN" else 1]]
+    line = draw(st.sampled_from((" ", "\t", "  "))).join((kind, *args))
+    return draw(st.sampled_from(("", " ", "\t"))) + line + draw(st.sampled_from(("", " ", "  # note", "#x")))
+
+
+@st.composite
+def circuit_text(draw):
+    """Lines picked from a small pool, so that most lines come again; the
+    pool holds gates, blanks and comments, and sometimes a bad line."""
+    pool = draw(st.lists(st.one_of(
+        gate_line(False), gate_line(False), gate_line(False),
+        st.sampled_from(("", "   ", "# comment", "qubits 5")),
+    ), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pool.append(draw(gate_line(True)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    header = draw(st.sampled_from(("qubits 5\n", "# c\nqubits 5\n") * 3 + ("", "qubits 3\n", "qubits 0\n")))
+    return header + "\n".join(pool[i] for i in picks) + draw(st.sampled_from(("", "\n")))
+
+
+def read_outcome(reader, text, nqubits):
+    """The circuit a reader returns, or its error's type, text and line."""
+    try:
+        return reader(text, nqubits)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestParseCircuitAgainstTheReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=circuit_text(), nqubits=st.sampled_from((None, None, None, 5, 0, 3)))
+    def test_same_circuit_or_same_error(self, text, nqubits):
+        expected = read_outcome(reference_parse_circuit, text, nqubits)
+        assert read_outcome(parse_circuit, text, nqubits) == expected
+
+    def test_a_repeated_line_builds_one_gate(self, monkeypatch):
+        built = []
+
+        class CountedGate(Gate):
+            __slots__ = ()
+
+            def __init__(self, kind, operands):
+                built.append((kind, operands))
+                super().__init__(kind, operands)
+
+        monkeypatch.setattr(interpreter, "Gate", CountedGate)
+        text = "qubits 3\n" + "H 0\nCN 0 1\n# c\nH 0\nM 2\nCN 0 1\nH 0\n" * 5
+        circuit = parse_circuit(text)
+        assert len(circuit.gates) == 30
+        assert sorted(built) == [("CN", (0, 1)), ("H", (0,)), ("M", (2,))]
+        assert circuit.gates[0] is circuit.gates[2]
+
+    def test_a_repeated_line_is_checked_where_it_first_failed(self):
+        # only lines that pass are reused: a bad line fails with its own number
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nH 0\nH 0\nH 2\nH 2\n")
+        assert (str(err.value), err.value.line) == ("line 4: qubit 2 out of range for 2 qubits", 4)
+
+
 class TestGateAndCircuitValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -135,6 +270,21 @@ class TestGateAndCircuitValidation:
     def test_operand_range_checked_by_circuit(self):
         with pytest.raises(ValueError):
             Circuit((Gate("H", (2,)),), 2)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Gate("CN", (0, -1))
+
+    def test_gate_is_a_record_of_kind_and_operands(self):
+        gate = Gate("CN", (0, 2))
+        assert gate == Gate("CN", (0, 2)) != Gate("CN", (2, 0))
+        assert gate != ("CN", (0, 2)) and Gate("H", (1,)) != RecordGate("H", (1,))
+        assert hash(gate) == hash(("CN", (0, 2)))
+        assert len({gate, Gate("CN", (0, 2)), Gate("H", (0,))}) == 2
+        assert repr(gate) == "Gate(kind='CN', operands=(0, 2))"
+        assert repr(gate) == repr(RecordGate("CN", (0, 2))).replace("RecordGate", "Gate")
+        assert str(gate) == "CN 0 2"
+        assert not hasattr(gate, "__dict__")
 
 
 class TestRandomStream:
