@@ -147,7 +147,7 @@ def render_state(state: QState, cache: RenderCache) -> list[str]:
         cache.key, cache.texts = key, {}
     texts, digits = cache.texts, cache.digits
     entries = state.entries()
-    missing = [entry for entry in dict.fromkeys(entries) if entry not in texts]
+    missing = list(set(entries).difference(texts))
     if missing:
         if cache.emit == "exact":
             texts.update(zip(missing, exact_texts(state, missing)))
